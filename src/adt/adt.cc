@@ -7,6 +7,24 @@ std::atomic<uint64_t>& FindOpCalls() {
   return calls;
 }
 
+const ConflictTables& AdtSpec::conflict_tables() const {
+  std::call_once(conflict_tables_once_, [this] {
+    auto t = std::make_unique<ConflictTables>();
+    const size_t n = NumOps();
+    t->rows.resize(n);
+    if (n <= 64) t->request_masks.assign(n, 0);
+    for (OpId i = 0; i < n; ++i) {
+      for (OpId j = 0; j < n; ++j) {
+        if (!OpConflictsById(i, j)) continue;
+        t->rows[i].push_back(j);
+        if (n <= 64) t->request_masks[j] |= uint64_t{1} << i;
+      }
+    }
+    conflict_tables_ = std::move(t);
+  });
+  return *conflict_tables_;
+}
+
 bool StepsCommuteOnState(const AdtSpec& spec, const AdtState& state,
                          std::string_view op1, const Args& args1,
                          std::string_view op2, const Args& args2) {

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -103,6 +104,19 @@ struct StepView {
   OpId op_id = kNoOp;          // kNoOp = resolve via op name
 };
 
+/// Dense forms of a spec's operation-level conflict relation.  They depend
+/// on the spec alone, so every object of the spec shares one copy (see
+/// AdtSpec::conflict_tables) instead of rebuilding them per object.
+struct ConflictTables {
+  /// [op] -> the ops j with OpConflictsById(op, j), ascending: the row the
+  /// journal's conflict scans filter with (rt::Object::ConflictRowFor).
+  std::vector<std::vector<OpId>> rows;
+  /// [requested op] -> bit `held` set iff OpConflictsById(held, requested):
+  /// the held op classes that block a lock request (cc::LockManager's grant
+  /// masks).  Empty when the spec has more than 64 operations.
+  std::vector<uint64_t> request_masks;
+};
+
 /// The behaviour of one type of object: operations + conflict relation.
 /// Instances are immutable and shared; per-object initial-state parameters
 /// are captured in the factory functions below.
@@ -154,6 +168,15 @@ class AdtSpec {
   /// own internal synchronisation, e.g. the latch-crabbing B-tree of
   /// Section 2).  Default: false; the runtime serialises per object.
   virtual bool supports_concurrent_apply() const { return false; }
+
+  /// The spec's ConflictTables, built from OpConflictsById on the first
+  /// call (thread-safe) and shared by every object and lock table of the
+  /// spec.  Call only once the spec is fully constructed.
+  const ConflictTables& conflict_tables() const;
+
+ private:
+  mutable std::once_flag conflict_tables_once_;
+  mutable std::unique_ptr<const ConflictTables> conflict_tables_;
 };
 
 /// Empirically tests Definition 3 on a concrete state: returns true iff

@@ -198,15 +198,8 @@ void LockManager::EnsureTableInitLocked(ObjTable& table,
   const size_t n = spec.NumOps();
   table.mask_usable = n <= 64;
   if (!table.mask_usable) return;
-  table.req_conflict_mask.assign(n, 0);
+  table.req_conflict_mask = spec.conflict_tables().request_masks.data();
   table.op_held_count.assign(n, 0);
-  for (adt::OpId req = 0; req < n; ++req) {
-    uint64_t mask = 0;
-    for (adt::OpId held = 0; held < n; ++held) {
-      if (spec.OpConflictsById(held, req)) mask |= uint64_t{1} << held;
-    }
-    table.req_conflict_mask[req] = mask;
-  }
 }
 
 void LockManager::NoteEntryAddedLocked(ObjTable& table, const Request& req) {
@@ -740,6 +733,13 @@ void LockManager::ReleaseSubtree(rt::TxnNode& root) {
       WakeWaitersLocked(*table, /*wake_all=*/false, nullptr);
     }
   }
+}
+
+const uint64_t* LockManager::ConflictMasksOf(const rt::Object& obj) const {
+  ObjTable* table = FindTable(obj.id());
+  if (table == nullptr) return nullptr;
+  std::lock_guard<std::mutex> g(table->mu);
+  return table->req_conflict_mask;
 }
 
 size_t LockManager::LockCount() {

@@ -212,6 +212,12 @@ class LockManager {
 
   size_t LockCount();
 
+  /// The request-conflict mask table `obj`'s lock table is bound to: the
+  /// spec's shared adt::ConflictTables::request_masks, so objects of one
+  /// spec return the same pointer.  nullptr before the object's first lock
+  /// request (or for a spec over 64 operations).
+  const uint64_t* ConflictMasksOf(const rt::Object& obj) const;
+
  private:
   struct Entry {
     rt::TxnNode* owner;
@@ -249,8 +255,10 @@ class LockManager {
     uint64_t held_mask = 0;       // op-class bits with >= 1 held entry
     uint32_t whole_shared = 0;    // count of shared whole-object entries
     uint32_t whole_excl = 0;      // count of exclusive whole-object entries
-    std::vector<uint64_t> req_conflict_mask;  // [op id] -> blocking held bits
-    std::vector<uint32_t> op_held_count;      // [op id] -> held entries
+    // [op id] -> blocking held bits; the spec's shared table
+    // (adt::ConflictTables::request_masks), not a per-table copy.
+    const uint64_t* req_conflict_mask = nullptr;
+    std::vector<uint32_t> op_held_count;  // [op id] -> held entries
   };
 
   // Tables live in fixed-size chunks behind atomic pointers (the DepRef
@@ -275,7 +283,7 @@ class LockManager {
   /// chunk was never touched.
   ObjTable* FindTable(uint32_t object_id) const;
 
-  /// One-time per-table setup: binds the spec and precomputes the
+  /// One-time per-table setup: binds the spec and its shared
   /// request-conflict masks.  Requires table.mu held.
   static void EnsureTableInitLocked(ObjTable& table, const adt::AdtSpec& spec);
 

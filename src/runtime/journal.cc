@@ -54,10 +54,7 @@ bool AppliedJournal::Entry::IncomparableWithChainWalk(
 }
 
 AppliedJournal::AppliedJournal(size_t num_ops)
-    : num_ops_(num_ops),
-      lists_(std::make_unique<PosList[]>(num_ops)),
-      head_(new EntryChunk(0)),
-      tail_hint_(head_.load(std::memory_order_relaxed)) {}
+    : num_ops_(num_ops), lists_(std::make_unique<PosList[]>(num_ops)) {}
 
 AppliedJournal::~AppliedJournal() {
   // Quiescent by contract: free the live chain and every limbo chunk.
@@ -86,6 +83,21 @@ AppliedJournal::EntryChunk* AppliedJournal::ChunkFor(uint64_t pos) {
   // refreshes the hint before freeing anything (ReleaseLimbo runs under
   // the same exclusion).
   EntryChunk* c = tail_hint_.load(std::memory_order_seq_cst);
+  if (c == nullptr) {
+    // First append since construction or Reset (positions restart at 0):
+    // link the first chunk the way PosChunkFor links a list's.  The hint
+    // is set by the advance loop below, never regressed.
+    auto* fresh = new EntryChunk(0);
+    EntryChunk* expected = nullptr;
+    if (head_.compare_exchange_strong(expected, fresh,
+                                      std::memory_order_seq_cst,
+                                      std::memory_order_seq_cst)) {
+      c = fresh;
+    } else {
+      delete fresh;  // a racing appender linked first
+      c = expected;
+    }
+  }
   while (c->base != base) {
     if (c->base > base) {
       // A racing appender advanced the hint past us; restart from head.
@@ -109,12 +121,22 @@ AppliedJournal::EntryChunk* AppliedJournal::ChunkFor(uint64_t pos) {
   // the next appender a short walk).  Acquire on every read: a racing
   // appender may have just published the chunk we compare against.
   EntryChunk* hint = tail_hint_.load(std::memory_order_acquire);
-  while (hint->base < c->base &&
+  while ((hint == nullptr || hint->base < c->base) &&
          !tail_hint_.compare_exchange_weak(hint, c,
                                            std::memory_order_seq_cst,
                                            std::memory_order_acquire)) {
   }
   return c;
+}
+
+const AppliedJournal::EntryChunk* AppliedJournal::WaitFirstChunk() const {
+  // The appender links the chunk a few stores after its Reserve, holding
+  // no lock it could be parked on; spin like WaitReady.
+  for (int i = 0;; ++i) {
+    const EntryChunk* h = head_.load(std::memory_order_seq_cst);
+    if (h != nullptr) return h;
+    if (i > 64) std::this_thread::yield();
+  }
 }
 
 AppliedJournal::PosChunk* AppliedJournal::PosChunkFor(PosList& list,
@@ -198,6 +220,7 @@ void AppliedJournal::PublishAt(uint64_t pos, JournalRecord&& r) {
 bool AppliedJournal::MarkSubtreeAborted(uint64_t subtree_root_uid) {
   bool any = false;
   EntryChunk* c = head_.load(std::memory_order_acquire);
+  if (c == nullptr) return false;  // never appended
   const uint64_t lo =
       std::max(folded_.load(std::memory_order_acquire), c->base);
   const uint64_t hi = reserved_.load(std::memory_order_acquire);
@@ -289,6 +312,17 @@ void AppliedJournal::ReleaseLimbo() {
   pos_limbo_.clear();
 }
 
+size_t AppliedJournal::LinkedChunks() const {
+  readers_.fetch_add(1, std::memory_order_seq_cst);  // as Scan: no frees
+  size_t n = 0;
+  for (const EntryChunk* c = head_.load(std::memory_order_seq_cst);
+       c != nullptr; c = c->next.load(std::memory_order_acquire)) {
+    ++n;
+  }
+  readers_.fetch_sub(1, std::memory_order_release);
+  return n;
+}
+
 size_t AppliedJournal::LimboChunks() const {
   JournalMutexAcquisitions().fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> g(const_cast<std::mutex&>(fold_mu_));
@@ -321,9 +355,8 @@ void AppliedJournal::Reset() {
   }
   for (PosChunk* l : pos_limbo_) delete l;
   pos_limbo_.clear();
-  auto* fresh = new EntryChunk(0);
-  head_.store(fresh, std::memory_order_relaxed);
-  tail_hint_.store(fresh, std::memory_order_relaxed);
+  head_.store(nullptr, std::memory_order_relaxed);  // next append relinks
+  tail_hint_.store(nullptr, std::memory_order_relaxed);
   reserved_.store(0, std::memory_order_relaxed);
   folded_.store(0, std::memory_order_relaxed);
   next_fold_at_.store(0, std::memory_order_relaxed);

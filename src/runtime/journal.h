@@ -8,7 +8,10 @@
 // structure whose step path (append + scan) takes no mutex at all:
 //
 //   * entries live in fixed-size CHUNKS linked by atomic next pointers;
-//     the position space is grow-only (a global `reserved_` counter);
+//     the position space is grow-only (a global `reserved_` counter).  The
+//     first chunk is linked by the first append, not by the constructor or
+//     Reset: objects whose protocol never journals (N2PL, GEMSTONE) own no
+//     chunk at all;
 //   * appenders reserve a position with one fetch_add, fill the entry in
 //     place and PUBLISH it with a release store of its ready flag.  Appends
 //     happen inside the object's apply critical section (state_mu held at
@@ -276,6 +279,15 @@ class AppliedJournal {
       // seq_cst load then cannot miss (see docs/journal.md).
       j.readers_.fetch_add(1, std::memory_order_seq_cst);
       head_ = j.head_.load(std::memory_order_seq_cst);
+      if (head_ == nullptr) {
+        // No chunk linked yet.  Nothing reserved: the window is empty.
+        // Something reserved: its appender is between Reserve and the
+        // first chunk's link — wait for the link as WaitReady waits for a
+        // publication, so no reserved entry is ever skipped (CERT's
+        // publish-then-scan argument needs every position below its own).
+        if (j.reserved_.load(std::memory_order_seq_cst) == 0) return;
+        head_ = j.WaitFirstChunk();
+      }
       begin_ = j.folded_.load(std::memory_order_acquire);
       if (begin_ < head_->base) begin_ = head_->base;  // adopt a racing fold
       end_ = j.reserved_.load(std::memory_order_acquire);
@@ -358,6 +370,7 @@ class AppliedJournal {
   template <typename Fn>
   void ReplayLive(Fn&& fn) const {
     const EntryChunk* c = head_.load(std::memory_order_acquire);
+    if (c == nullptr) return;  // never appended: nothing to replay
     const uint64_t lo = folded_.load(std::memory_order_acquire);
     const uint64_t hi = reserved_.load(std::memory_order_acquire);
     for (uint64_t pos = lo < c->base ? c->base : lo; pos < hi; ++pos) {
@@ -390,7 +403,7 @@ class AppliedJournal {
     uint64_t pos = folded_.load(std::memory_order_relaxed);
     const EntryChunk* c = head_.load(std::memory_order_relaxed);
     size_t folded = 0;
-    while (pos < hi) {
+    while (c != nullptr && pos < hi) {  // null head: never appended
       while (pos >= c->base + kChunkSize) {
         c = c->next.load(std::memory_order_acquire);
       }
@@ -426,6 +439,9 @@ class AppliedJournal {
     return reserved_.load(std::memory_order_acquire);
   }
   uint64_t folded() const { return folded_.load(std::memory_order_acquire); }
+  /// Entry chunks currently linked (0 until the first append, and again
+  /// after Reset).  Pins like a Scan, so it is safe at any time.
+  size_t LinkedChunks() const;
   /// Chunks unlinked but not yet freed (readers were pinned).
   size_t LimboChunks() const;
   /// Chunks freed after surviving limbo (the retirement path is live).
@@ -439,8 +455,12 @@ class AppliedJournal {
 
  private:
   /// Chunk lookup/extension for position `pos`, walking forward from the
-  /// tail hint.  Lock-free (CAS linking; the loser frees its chunk).
+  /// tail hint; the first call links the first chunk.  Lock-free (CAS
+  /// linking; the loser frees its chunk).
   EntryChunk* ChunkFor(uint64_t pos);
+  /// Spins until the first appender has linked head_ (Scan of a window
+  /// whose positions are reserved but whose first chunk is not linked).
+  const EntryChunk* WaitFirstChunk() const;
   /// Same for a conflict-index list.
   PosChunk* PosChunkFor(PosList& list, uint64_t idx);
 
@@ -457,8 +477,9 @@ class AppliedJournal {
 
   std::atomic<uint64_t> reserved_{0};
   std::atomic<uint64_t> folded_{0};
-  std::atomic<EntryChunk*> head_;       // oldest linked chunk (seq_cst)
-  std::atomic<EntryChunk*> tail_hint_;  // newest known chunk
+  // Both null until the first append links a chunk (and again after Reset).
+  std::atomic<EntryChunk*> head_{nullptr};       // oldest linked (seq_cst)
+  std::atomic<EntryChunk*> tail_hint_{nullptr};  // newest known chunk
 
   mutable std::atomic<uint32_t> readers_{0};  // pinned Scan count
 

@@ -11,19 +11,8 @@ Object::Object(uint32_t id, std::string name,
       spec_(std::move(spec)),
       state_(spec_->MakeInitialState()),
       base_state_(spec_->MakeInitialState()),
-      journal_(std::make_unique<AppliedJournal>(spec_->NumOps())) {
-  // Precompute the conflict-matrix rows the journal scans filter with.
-  const size_t n = spec_->NumOps();
-  conflict_rows_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (spec_->OpConflictsById(static_cast<adt::OpId>(i),
-                                 static_cast<adt::OpId>(j))) {
-        conflict_rows_[i].push_back(static_cast<adt::OpId>(j));
-      }
-    }
-  }
-}
+      journal_(std::make_unique<AppliedJournal>(spec_->NumOps())),
+      conflict_tables_(&spec_->conflict_tables()) {}
 
 Object::~Object() {
   LockTableCacheNode* n = lock_table_cache_.load(std::memory_order_acquire);

@@ -109,12 +109,13 @@ class Object {
   size_t applied_log_size() const { return journal_->LiveCount(); }
 
   /// Ops whose operation class conflicts with `op` (a row of the spec's
-  /// conflict matrix, precomputed at construction).  The conflict scans
+  /// conflict matrix, shared by every object of the spec — see
+  /// adt::AdtSpec::conflict_tables).  The conflict scans
   /// feed this to AppliedJournal::Scan::ForEachConflicting; soundness for
   /// kStep granularity rests on the op table dominating the step table
   /// (pinned by adt_commutativity_test.OpDominatesStep).
   const std::vector<adt::OpId>& ConflictRowFor(adt::OpId op) const {
-    return conflict_rows_[op];
+    return conflict_tables_->rows[op];
   }
 
   // --- rebuild-based rollback (NTO/CERT/MIXED) -----------------------------
@@ -212,7 +213,7 @@ class Object {
   std::shared_mutex state_mu_;
   std::atomic<uint64_t> apply_stamp_{0};  // NextApplyStamp ticket source
   std::unique_ptr<AppliedJournal> journal_;
-  std::vector<std::vector<adt::OpId>> conflict_rows_;  // by OpId
+  const adt::ConflictTables* conflict_tables_;  // owned by spec_
   // CAS-pushed singly linked list, one node per caching lock manager
   // (almost always exactly one); freed by the destructor.
   std::atomic<LockTableCacheNode*> lock_table_cache_{nullptr};

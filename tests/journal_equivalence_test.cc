@@ -250,6 +250,110 @@ TEST(JournalEquivalenceTest, LongScriptAgrees) {
   driver.Run(5000);
 }
 
+// --- the lazily linked first chunk -------------------------------------------
+//
+// A journal links its first entry chunk on the first append, not in the
+// constructor or Reset, so objects whose protocol never journals own none.
+// Until then every reader and every exclusive maintenance path sees an
+// empty window.
+
+JournalRecord TopRecord(uint64_t uid, adt::OpId op) {
+  JournalRecord r;
+  r.seq = uid;
+  r.exec_uid = uid;
+  r.top_uid = uid;
+  r.dep = uid;
+  r.chain = std::make_shared<const std::vector<uint64_t>>(
+      std::vector<uint64_t>{uid});
+  r.hts = std::make_shared<const cc::Hts>(cc::Hts::TopLevel(uid));
+  r.op_id = op;
+  r.args = {Value(static_cast<int64_t>(uid))};
+  r.ret = Value(static_cast<int64_t>(uid));
+  return r;
+}
+
+void ExpectChunklessAndEmpty(AppliedJournal& journal) {
+  EXPECT_EQ(journal.LinkedChunks(), 0u);
+  EXPECT_EQ(journal.reserved(), 0u);
+  int visited = 0;
+  auto count = [&](const AppliedJournal::Entry&) {
+    ++visited;
+    return true;
+  };
+  {
+    AppliedJournal::Scan scan(journal);
+    EXPECT_EQ(scan.begin_pos(), 0u);
+    EXPECT_EQ(scan.end_pos(), 0u);
+    std::vector<adt::OpId> every_op;
+    for (size_t op = 0; op < kNumOps; ++op) {
+      every_op.push_back(static_cast<adt::OpId>(op));
+    }
+    scan.ForEachLive(UINT64_MAX, count);
+    scan.ForEachConflicting(every_op, UINT64_MAX, /*exclusive=*/true, count);
+    scan.ForEachConflicting(every_op, UINT64_MAX, /*exclusive=*/false, count);
+  }
+  EXPECT_FALSE(journal.MarkSubtreeAborted(1));
+  journal.ReplayLive([&](const AppliedJournal::Entry&) { ++visited; });
+  EXPECT_EQ(journal.Fold(UINT64_MAX,
+                         [&](const AppliedJournal::Entry&) { ++visited; }),
+            0u);
+  EXPECT_EQ(visited, 0);
+  EXPECT_EQ(journal.LinkedChunks(), 0u) << "a read path linked a chunk";
+}
+
+TEST(JournalEquivalenceTest, NoChunkUntilFirstAppendOrAfterReset) {
+  AppliedJournal journal(kNumOps);
+  {
+    SCOPED_TRACE("fresh");
+    ExpectChunklessAndEmpty(journal);
+  }
+  // Reserve alone links nothing; the publication links the first chunk.
+  const uint64_t pos = journal.Reserve();
+  EXPECT_EQ(pos, 0u);
+  EXPECT_EQ(journal.LinkedChunks(), 0u);
+  journal.PublishAt(pos, TopRecord(1, 0));
+  EXPECT_EQ(journal.LinkedChunks(), 1u);
+  for (uint64_t uid = 2; uid <= AppliedJournal::kChunkSize + 1; ++uid) {
+    journal.Append(TopRecord(uid, static_cast<adt::OpId>(uid % kNumOps)));
+  }
+  EXPECT_EQ(journal.LinkedChunks(), 2u);
+  {
+    AppliedJournal::Scan scan(journal);
+    uint64_t expect = 0;
+    scan.ForEachLive(scan.end_pos(), [&](const AppliedJournal::Entry& e) {
+      EXPECT_EQ(e.pos, expect);
+      ++expect;
+      return true;
+    });
+    EXPECT_EQ(expect, AppliedJournal::kChunkSize + 1);
+  }
+
+  journal.Reset();
+  {
+    SCOPED_TRACE("after Reset");
+    ExpectChunklessAndEmpty(journal);
+  }
+  // Positions restart at 0 in a freshly linked first chunk.
+  EXPECT_EQ(journal.Append(TopRecord(7, 1)), 0u);
+  EXPECT_EQ(journal.LinkedChunks(), 1u);
+  {
+    AppliedJournal::Scan scan(journal);
+    ASSERT_EQ(scan.end_pos(), 1u);
+    int visited = 0;
+    scan.ForEachConflicting({1}, scan.end_pos(), /*exclusive=*/true,
+                            [&](const AppliedJournal::Entry& e) {
+                              EXPECT_EQ(e.exec_uid, 7u);
+                              ++visited;
+                              return true;
+                            });
+    EXPECT_EQ(visited, 1);
+  }
+  // Folding everything keeps the tail chunk linked for the next append.
+  EXPECT_EQ(journal.Fold(UINT64_MAX, [](const AppliedJournal::Entry&) {}),
+            1u);
+  EXPECT_EQ(journal.LinkedChunks(), 1u);
+}
+
 // --- multi-threaded rounds -------------------------------------------------
 //
 // The real journal runs under the production discipline: appenders hold a

@@ -9,7 +9,10 @@
 //   * chunk-retirement use-after-free probes: hold a pinned Scan across a
 //     fold that retires multiple chunks, walk the stale window afterwards,
 //     then release the pin and verify a later fold actually frees limbo
-//     (the retirement path is live, not a leak).
+//     (the retirement path is live, not a leak);
+//   * scanners racing the first appends on a chunkless journal — a window
+//     must cover every position reserved before it was taken, waiting for
+//     the first chunk's link, and visit entry 0 first.
 #include "src/runtime/journal.h"
 
 #include <gtest/gtest.h>
@@ -238,6 +241,90 @@ TEST(JournalMtTest, ConcurrentAppendersPublishDensely) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(journal.reserved(), 4u * kPerThread);
+}
+
+TEST(JournalMtTest, ScansRacingTheFirstAppendsVisitEntryZero) {
+  // Every round starts chunkless (fresh, then Reset).  Appender 0 holds its
+  // first reservation open across a few yields, widening the window in
+  // which positions are reserved but no chunk is linked yet.
+  constexpr int kRounds = 150;
+  constexpr int kAppenders = 2;
+  constexpr int kScanners = 2;
+  constexpr int kPerAppender = 8;  // all inside the first chunk
+  static_assert(kAppenders * kPerAppender <= AppliedJournal::kChunkSize,
+                "dense check assumes one chunk");
+  AppliedJournal journal(kNumOps);
+  std::atomic<uint64_t> nonempty_scans{0};
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_EQ(journal.LinkedChunks(), 0u) << "round " << round;
+    std::shared_mutex state_mu;
+    std::atomic<bool> go{false};
+    std::atomic<bool> appended{false};
+    std::atomic<uint64_t> next_uid{0};
+    std::vector<std::thread> scanners;
+    for (int s = 0; s < kScanners; ++s) {
+      scanners.emplace_back([&]() {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        bool last = false;
+        while (!last) {
+          last = appended.load(std::memory_order_acquire);
+          // The window covers every position reserved before the scan
+          // began, linked chunk or not.
+          const uint64_t reserved_before = journal.reserved();
+          AppliedJournal::Scan scan(journal);
+          if (scan.end_pos() < reserved_before) {
+            ADD_FAILURE() << "window [0, " << scan.end_pos() << ") misses "
+                          << reserved_before << " reserved positions";
+            return;
+          }
+          if (scan.end_pos() == 0) continue;
+          nonempty_scans.fetch_add(1, std::memory_order_relaxed);
+          uint64_t expect = 0;
+          scan.ForEachLive(scan.end_pos(),
+                           [&](const AppliedJournal::Entry& e) {
+                             if (e.pos != expect) return false;
+                             ++expect;
+                             return true;
+                           });
+          if (expect != scan.end_pos()) {
+            ADD_FAILURE() << "window [0, " << scan.end_pos()
+                          << ") visited only " << expect << " entries";
+            return;
+          }
+        }
+      });
+    }
+    std::vector<std::thread> appenders;
+    for (int a = 0; a < kAppenders; ++a) {
+      appenders.emplace_back([&, a]() {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (int i = 0; i < kPerAppender; ++i) {
+          const uint64_t uid = next_uid.fetch_add(1) + 1;
+          std::shared_lock<std::shared_mutex> g(state_mu);
+          const uint64_t pos = journal.Reserve();
+          if (a == 0 && i == 0) {
+            for (int k = 0; k < 4; ++k) std::this_thread::yield();
+          }
+          journal.PublishAt(pos, MakeRecord(uid, uid,
+                                            static_cast<adt::OpId>(uid %
+                                                                   kNumOps),
+                                            static_cast<int64_t>(uid)));
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& t : appenders) t.join();
+    appended.store(true, std::memory_order_release);
+    for (auto& t : scanners) t.join();
+    if (::testing::Test::HasFailure()) return;
+    EXPECT_EQ(journal.reserved(),
+              static_cast<uint64_t>(kAppenders * kPerAppender));
+    EXPECT_EQ(journal.LinkedChunks(), 1u);
+    journal.Reset();  // quiescent: the next round starts chunkless again
+  }
+  // Every scanner's final scan follows the last append.
+  EXPECT_GE(nonempty_scans.load(),
+            static_cast<uint64_t>(kRounds * kScanners));
 }
 
 }  // namespace

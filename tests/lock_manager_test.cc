@@ -162,6 +162,48 @@ TEST(LockManagerTest, AsymmetricConflictRespectsHeldDirection) {
             LockManager::TryOutcome::kWouldBlock);
 }
 
+TEST(LockManagerTest, ObjectsOfOneSpecShareOneConflictMaskTable) {
+  // The request-conflict masks depend on the spec alone: two accounts of
+  // one spec bind the same table, an account of another spec its own, and
+  // grants and waits follow the held direction exactly as before.
+  LockManager lm;
+  auto spec = adt::MakeBankAccountSpec(100);
+  rt::Object a(0, "a", spec);
+  rt::Object b(1, "b", spec);
+  rt::Object other(2, "other", adt::MakeBankAccountSpec(100));
+  EXPECT_EQ(lm.ConflictMasksOf(a), nullptr) << "bound before first request";
+  rt::TxnNode t1(1, nullptr, UINT32_MAX, "T1");
+  rt::TxnNode t2(2, nullptr, UINT32_MAX, "T2");
+  LockManager::Request dep = OpReq(a, "deposit", {10});
+  dep.ret = Value::None();
+  LockManager::Request wd = OpReq(a, "withdraw", {10});
+  wd.ret = Value(true);
+  // Held deposit blocks a later successful withdraw on either account.
+  ASSERT_EQ(lm.Acquire(t1, a, dep), LockManager::Outcome::kGranted);
+  ASSERT_EQ(lm.Acquire(t1, b, dep), LockManager::Outcome::kGranted);
+  EXPECT_EQ(lm.TryAcquire(t2, a, wd), LockManager::TryOutcome::kWouldBlock);
+  EXPECT_EQ(lm.TryAcquire(t2, b, wd), LockManager::TryOutcome::kWouldBlock);
+  // A balance read conflicts with the held deposit too; a second deposit
+  // commutes with it.
+  EXPECT_EQ(lm.TryAcquire(t2, a, OpReq(a, "balance")),
+            LockManager::TryOutcome::kWouldBlock);
+  EXPECT_EQ(lm.TryAcquire(t2, b, dep), LockManager::TryOutcome::kGranted);
+  ASSERT_EQ(lm.Acquire(t1, other, dep), LockManager::Outcome::kGranted);
+
+  const uint64_t* masks = lm.ConflictMasksOf(a);
+  ASSERT_NE(masks, nullptr);
+  EXPECT_EQ(lm.ConflictMasksOf(b), masks);
+  EXPECT_EQ(masks, spec->conflict_tables().request_masks.data());
+  EXPECT_NE(lm.ConflictMasksOf(other), masks);
+  EXPECT_NE(lm.ConflictMasksOf(other), nullptr);
+  // Releasing T1 unblocks T2 on both accounts.
+  lm.ReleaseSubtree(t1);
+  EXPECT_EQ(lm.TryAcquire(t2, a, wd), LockManager::TryOutcome::kGranted);
+  EXPECT_EQ(lm.TryAcquire(t2, b, wd), LockManager::TryOutcome::kGranted);
+  lm.ReleaseSubtree(t2);
+  EXPECT_EQ(lm.LockCount(), 0u);
+}
+
 TEST(LockManagerTest, ReleaseSubtreeDropsDescendantLocks) {
   LockManager lm;
   rt::Object obj = MakeRegisterObject();

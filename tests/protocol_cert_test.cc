@@ -324,5 +324,10 @@ TEST(CertProtocolTest, NonLinearizableScansEscalateToExclusive) {
       << "count and the counter step must both take the exclusive latch";
 }
 
+TEST(CertProtocolTest, JournalFootprintFollowsProtocol) {
+  // CERT links an applied-journal chunk on every object it touched.
+  CheckJournalFootprint(Protocol::kCert, /*journaled=*/true);
+}
+
 }  // namespace
 }  // namespace objectbase::rt

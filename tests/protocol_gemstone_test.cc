@@ -147,5 +147,10 @@ TEST(GemstoneProtocolTest, LocksReleasedAtTopCompletion) {
   EXPECT_EQ(ctrl->lock_manager().LockCount(), 0u);
 }
 
+TEST(GemstoneProtocolTest, JournalFootprintFollowsProtocol) {
+  // GEMSTONE never journals: no object links an applied-journal chunk.
+  CheckJournalFootprint(Protocol::kGemstone, /*journaled=*/false);
+}
+
 }  // namespace
 }  // namespace objectbase::rt

@@ -100,6 +100,57 @@ inline void RunBankingScenario(Protocol protocol, cc::Granularity granularity,
   VerifyHistory(exec, ProtocolName(protocol));
 }
 
+/// Journal footprint: two workers run transfer rings over the first
+/// `touched` of `accounts` accounts; the rest are never invoked.  A
+/// journaled protocol (NTO, CERT) links an applied-journal chunk on every
+/// touched object and on no other; a locking protocol (N2PL, GEMSTONE)
+/// never journals, so no object links one.
+inline void CheckJournalFootprint(Protocol protocol, bool journaled) {
+  constexpr int kAccounts = 24;
+  constexpr int kTouched = 16;
+  constexpr int64_t kInitial = 1000;
+  ObjectBase base;
+  for (int i = 0; i < kAccounts; ++i) {
+    base.CreateObject("acct:" + std::to_string(i),
+                      adt::MakeBankAccountSpec(kInitial));
+  }
+  Executor exec(base, {.protocol = protocol});
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&, t]() {
+      for (int i = 0; i < kTouched; ++i) {
+        const std::string from = "acct:" + std::to_string(i);
+        const std::string to =
+            "acct:" + std::to_string((i + 1 + t) % kTouched);
+        TxnResult r = exec.RunTransaction("transfer", [&](MethodCtx& txn) {
+          if (txn.Invoke(from, "withdraw", {5}).AsBool()) {
+            txn.Invoke(to, "deposit", {5});
+          }
+          return Value();
+        });
+        EXPECT_TRUE(r.committed) << ProtocolName(protocol) << " " << from;
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  int64_t total = 0;
+  for (int i = 0; i < kAccounts; ++i) {
+    const std::string name = "acct:" + std::to_string(i);
+    const size_t chunks = base.Find(name)->journal().LinkedChunks();
+    if (journaled && i < kTouched) {
+      EXPECT_GT(chunks, 0u) << ProtocolName(protocol) << " " << name;
+    } else {
+      EXPECT_EQ(chunks, 0u) << ProtocolName(protocol) << " " << name;
+    }
+    if (i < kTouched) {
+      total += exec.RunTransaction("audit", [&](MethodCtx& txn) {
+                     return txn.Invoke(name, "balance");
+                   }).ret.AsInt();
+    }
+  }
+  EXPECT_EQ(total, kInitial * kTouched) << ProtocolName(protocol);
+}
+
 /// Counters: concurrent semantic adds; the final value must equal the sum
 /// of committed deltas exactly.
 inline void RunCounterScenario(Protocol protocol, cc::Granularity granularity,

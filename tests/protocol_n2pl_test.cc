@@ -93,5 +93,10 @@ TEST(N2plProtocolTest, LocksFullyReleasedAfterRun) {
   EXPECT_EQ(ctrl->lock_manager().LockCount(), 0u);
 }
 
+TEST(N2plProtocolTest, JournalFootprintFollowsProtocol) {
+  // N2PL never journals: no object links an applied-journal chunk.
+  CheckJournalFootprint(Protocol::kN2pl, /*journaled=*/false);
+}
+
 }  // namespace
 }  // namespace objectbase::rt

@@ -209,5 +209,10 @@ TEST(NtoProtocolTest, SequentialSiblingsNeverSelfAbort) {
   EXPECT_EQ(r.ret, Value(3));
 }
 
+TEST(NtoProtocolTest, JournalFootprintFollowsProtocol) {
+  // NTO links an applied-journal chunk on every object it touched.
+  CheckJournalFootprint(Protocol::kNto, /*journaled=*/true);
+}
+
 }  // namespace
 }  // namespace objectbase::rt

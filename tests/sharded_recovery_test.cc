@@ -11,7 +11,10 @@
 //     not surface a partial commit;
 //   * single-shard commits of the intact shard still recover;
 //   * a partial abort inside a durable cross-shard top excises the aborted
-//     subtree's redos from all per-shard logs (StageAbort fan-out).
+//     subtree's redos from all per-shard logs (StageAbort fan-out);
+//   * a recovered base holds no applied-journal chunk (sealing returns
+//     every journal to its chunkless state), and NTO transactions on it
+//     commit, roll back and fold from the recovered state.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -88,8 +91,33 @@ TEST(ShardedRecovery, CleanShardedRunRecoversOnFreshBase) {
   EXPECT_EQ(r.committed_tops, 10u);
   EXPECT_EQ(r.ret_mismatches, 0u);
   EXPECT_EQ(r.skipped_uncommitted, 0u);
+  for (uint32_t id = 0; id < base.size(); ++id) {
+    EXPECT_EQ(base.Get(id).journal().LinkedChunks(), 0u)
+        << base.Get(id).name() << " kept a journal chunk after sealing";
+  }
   EXPECT_EQ(ReadCounter(exec, "a"), 3 + 2 * 10);
   EXPECT_EQ(ReadCounter(exec, "b"), 5 + 2 * 10);
+
+  // NTO on the recovered base: a committed add journals (linking the first
+  // chunk), and both rollback paths start from the recovered base state —
+  // an aborted add rebuilds to base + live entries, and so does one after
+  // every entry has been folded into the base.
+  Object& a = *base.Find("a");
+  ASSERT_TRUE(exec.RunTransaction("ta", [](MethodCtx& txn) {
+                    txn.Invoke("a", "add", {1});
+                    return Value();
+                  }).committed);
+  EXPECT_GT(a.journal().LinkedChunks(), 0u);
+  auto add_then_abort = [](MethodCtx& txn) -> Value {
+    txn.Invoke("a", "add", {100});
+    txn.Abort();
+  };
+  EXPECT_FALSE(exec.RunTransactionOnce("abort", add_then_abort).committed);
+  EXPECT_EQ(ReadCounter(exec, "a"), 3 + 2 * 10 + 1);
+  EXPECT_GT(a.FoldPrefix(UINT64_MAX), 0u);
+  EXPECT_EQ(a.journal().LiveCount(), 0u);
+  EXPECT_FALSE(exec.RunTransactionOnce("abort", add_then_abort).committed);
+  EXPECT_EQ(ReadCounter(exec, "a"), 3 + 2 * 10 + 1);
   std::remove(wal.c_str());
   std::remove(ShardWalPath(wal, 1).c_str());
 }
