@@ -1,6 +1,8 @@
 # Driver for the `check` target: configure + build Release and Debug trees,
-# run ctest in both, then run bench_sg_checker as a smoke test (small
-# history sizes finish in seconds; the JSON lines land in the log).
+# run ctest in both, then a short perfbench bank-hot run as a smoke test: it
+# builds the library in Release, drives CERT under contention, and checks
+# the recorded histories with the legality, SG and Theorem 5 oracles (exit
+# status non-zero on any failed check).
 #
 # Usage (equivalent to `cmake --build build --target check`):
 #   cmake -DSOURCE_DIR=. -DBINARY_ROOT=build/check -P cmake/check.cmake
@@ -50,12 +52,18 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "fsm-labelled tests failed")
 endif()
 
-message(STATUS "==== bench smoke: bench_sg_checker (Release) ====")
+message(STATUS "==== perfbench smoke: bank-hot (Release) ====")
+find_program(PYTHON3 python3)
+if(NOT PYTHON3)
+  message(FATAL_ERROR "perfbench smoke needs python3")
+endif()
 execute_process(
-  COMMAND ${BINARY_ROOT}/Release/bench_sg_checker
+  COMMAND ${CMAKE_COMMAND} -E env CARGO_TARGET_DIR=${BINARY_ROOT}/perfbench
+          ${PYTHON3} perfbench/run.py --workload bank-hot --seed 1 --seconds 3
+  WORKING_DIRECTORY ${SOURCE_DIR}
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "bench_sg_checker smoke run failed")
+  message(FATAL_ERROR "perfbench bank-hot smoke run failed")
 endif()
 
 message(STATUS "check: all green")

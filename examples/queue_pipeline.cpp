@@ -4,7 +4,7 @@
 // locks every Enqueue delays every Dequeue on the same queue; with
 // step-granularity (return-value-aware) locks an Enqueue only delays the
 // Dequeue that returns its item.  This example runs both and prints the
-// difference — a miniature of experiment E2.
+// difference.
 //
 // Build & run:  ./build/examples/example_queue_pipeline
 #include <cstdio>
@@ -12,8 +12,7 @@
 #include "src/common/table_printer.h"
 #include "src/model/legality.h"
 #include "src/model/serialiser.h"
-#include "src/workload/generators.h"
-#include "src/workload/runner.h"
+#include "src/workload/fsm_scenarios.h"
 
 using namespace objectbase;  // NOLINT: example brevity
 
@@ -21,7 +20,9 @@ int main() {
   workload::QueueParams params;
   params.queues = 2;       // few queues: contention is the point
   params.batch = 3;
-  params.prefill = 0;
+  // Prefill so dequeues rarely observe an empty queue (an empty-queue
+  // dequeue conflicts with every enqueue even at step granularity).
+  params.prefill = 64;
 
   TablePrinter table(
       {"granularity", "committed", "tput/s", "abort-ratio", "verified"});
@@ -33,32 +34,24 @@ int main() {
     rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl,
                              .granularity = g,
                              .record = true});
-    // Prefill so dequeues rarely observe an empty queue (an empty-queue
-    // dequeue conflicts with every enqueue even at step granularity).
-    exec.RunTransaction("prefill", [&](rt::MethodCtx& txn) {
-      for (int q = 0; q < params.queues; ++q) {
-        for (int i = 0; i < 64; ++i) {
-          txn.Invoke("queue:" + std::to_string(q), "enqueue",
-                     {1'000'000 + q * 1000 + i});
-        }
-      }
-      return Value();
-    });
-    exec.ResetRecorder();
-
-    workload::WorkloadSpec spec = workload::MakeQueueSpec(params);
-    spec.threads = 4;
-    spec.txns_per_thread = 120;
-    workload::RunMetrics m = workload::RunWorkload(exec, spec);
+    workload::FsmWorkload w = workload::MakeQueueFsm(params);
+    w.threads = 4;
+    w.iterations = 120;
+    workload::FsmRunResult r =
+        workload::FsmRunner(exec, {.mode = workload::FsmMode::kParallel})
+            .Run({&w});
 
     model::History h = exec.recorder().Snapshot();
-    bool verified = model::CheckLegal(h, true).legal &&
+    bool verified = r.ok() && model::CheckLegal(h, true).legal &&
                     model::CheckSerialisable(h).serialisable;
 
+    const double tput = r.seconds > 0 ? r.committed / r.seconds : 0;
     table.AddRow({g == cc::Granularity::kOperation ? "operation" : "step",
-                  TablePrinter::Fmt(m.committed),
-                  TablePrinter::Fmt(m.Throughput(), 0),
-                  TablePrinter::Fmt(m.AbortRatio(), 3),
+                  TablePrinter::Fmt(r.committed), TablePrinter::Fmt(tput, 0),
+                  TablePrinter::Fmt(
+                      static_cast<double>(exec.stats().aborted.load()) /
+                          static_cast<double>(r.committed),
+                      3),
                   verified ? "yes" : "NO"});
   }
   std::printf("Producer/consumer pipeline, 2 queues, 4 threads, N2PL\n");

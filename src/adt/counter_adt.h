@@ -3,7 +3,7 @@
 // add(d) operations commute with each other regardless of argument, so a
 // Counter admits far more concurrency than a Register under semantic
 // conflict tables — the Section 1(b) point that object-base operations are
-// not just reads and writes (experiment E3).
+// not just reads and writes.
 //
 // Operations:
 //   get()   -> current value   (read-only)

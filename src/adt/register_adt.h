@@ -3,7 +3,7 @@
 // This is the degenerate object type of "classical" concurrency control:
 // with only read/write operations the model collapses to Eswaran et al.'s
 // setting, which makes Register the baseline against which semantic ADTs
-// (Counter, Set, Queue, ...) are compared in experiment E3.
+// (Counter, Set, Queue, ...) are compared.
 //
 // Operations:
 //   read()        -> current value                (read-only)

@@ -3,8 +3,7 @@
 // At operation granularity nearly everything conflicts (a lock per
 // operation name, Section 5.1's conservative scheme).  At step granularity,
 // operations on different keys commute, failed mutations behave like reads,
-// and only successful mutations on the same key conflict — the concurrency
-// gain measured in experiment E3.
+// and only successful mutations on the same key conflict.
 //
 // Operations:
 //   insert(k)   -> bool (true iff k was absent and is now present)

@@ -177,8 +177,8 @@ class DependencyGraph {
   /// Lock-free scan of the (dense, peak-concurrency-sized) slot table.
   uint64_t MinActiveCounter() const;
 
-  /// Registered transactions not yet retired (for E8's memory accounting
-  /// and the retirement tests).  Lock-free scan.
+  /// Registered transactions not yet retired (for the retirement tests).
+  /// Lock-free scan.
   size_t TrackedCount() const;
 
  private:

@@ -120,8 +120,7 @@ class PolicyGovernor {
   void Start();
   void Stop();
 
-  /// Policy flips issued so far (both directions).  The E1c acceptance run
-  /// reports this next to the throughput numbers.
+  /// Policy flips issued so far (both directions).
   uint64_t flips() const { return flips_.load(std::memory_order_relaxed); }
   /// Objects currently assigned the hot policy.
   size_t hot_objects() const {

@@ -131,7 +131,7 @@ class ShardedController : public Controller {
   /// Tests shrink it to keep constructed-cycle runs fast.
   void SetCommitPollBudgetUs(uint64_t us) { poll_budget_us_ = us; }
 
-  // --- observability (bench/tests) -----------------------------------------
+  // --- observability (tests) -----------------------------------------------
   uint64_t cross_shard_commits() const {
     return cross_shard_commits_.load(std::memory_order_relaxed);
   }

@@ -45,7 +45,7 @@ class Rng {
 
 /// Zipf-distributed key sampler over [0, n); exponent `theta` in [0, 1).
 /// theta = 0 is uniform; larger theta concentrates mass on low keys.
-/// Used for hot/cold object skew in workloads (E1/E3 contention sweeps).
+/// Used for hot/cold object skew in workloads.
 class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double theta);

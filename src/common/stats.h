@@ -1,4 +1,4 @@
-// Measurement primitives for the workload runner and benchmarks.
+// Measurement primitives: a log-bucket histogram and a stopwatch.
 #ifndef OBJECTBASE_COMMON_STATS_H_
 #define OBJECTBASE_COMMON_STATS_H_
 

@@ -1,8 +1,5 @@
-// ASCII table rendering for benchmark output.
-//
-// Every experiment binary prints its rows through TablePrinter so the
-// harness output ("the same rows/series the paper reports") has a uniform,
-// diffable shape.
+// ASCII table rendering for the examples' output: one uniform, diffable
+// row shape.
 #ifndef OBJECTBASE_COMMON_TABLE_PRINTER_H_
 #define OBJECTBASE_COMMON_TABLE_PRINTER_H_
 

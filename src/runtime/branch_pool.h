@@ -1,5 +1,5 @@
 // BranchPool: the pooled scheduler behind MethodCtx::InvokeParallel and the
-// workload runner's worker threads.
+// FsmRunner's walker threads.
 //
 // The paper's internal parallelism (Section 1(c)) was implemented as one
 // std::thread per parallel branch — a full thread create/join per message

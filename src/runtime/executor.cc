@@ -50,7 +50,7 @@ BuiltController BuildController(const ExecutorOptions& o, Recorder& recorder,
     }
     case Protocol::kNto: {
       auto c = std::make_unique<cc::NtoController>(
-          recorder, o.granularity, o.nto_gc, o.journal_fold_threshold);
+          recorder, o.granularity, o.journal_fold_threshold);
       b.deps = &c->deps();
       b.controller = std::move(c);
       break;
@@ -64,8 +64,7 @@ BuiltController BuildController(const ExecutorOptions& o, Recorder& recorder,
       break;
     }
     case Protocol::kGemstone: {
-      auto c = std::make_unique<cc::GemstoneController>(
-          recorder, o.gemstone_shared_reads);
+      auto c = std::make_unique<cc::GemstoneController>(recorder);
       b.locks = &c->lock_manager();
       b.controller = std::move(c);
       break;
@@ -270,14 +269,6 @@ bool Executor::SetIntraPolicy(uint32_t object_id, cc::IntraPolicy policy) {
   return mixed_->SetPolicy(object_id, policy);
 }
 
-void Executor::ResetStats() {
-  stats_.committed.store(0);
-  stats_.aborted.store(0);
-  stats_.retries.store(0);
-  for (auto& a : stats_.aborts_by_reason) a.store(0);
-  for (auto& c : stats_.committed_by_shard) c.store(0);
-}
-
 void Executor::NoteThreadRunning(TxnNode* node) {
   // Only the lock-based protocols track threads (deadlock detection).
   if (lock_manager_ == nullptr) return;
@@ -321,10 +312,10 @@ TxnResult Executor::RunAttempt(const std::string& name, const MethodFn& body,
                                uint64_t age_token) {
   TxnResult result;
   const uint64_t counter =
-      age_token != 0 ? age_token : next_top_counter_.fetch_add(1) + 1;
+      age_token != 0 ? age_token : base_.NextTopCounter();
   result.age_token = counter;
-  auto top = std::make_unique<TxnNode>(next_uid_.fetch_add(1) + 1, nullptr,
-                                       UINT32_MAX, name);
+  auto top = std::make_unique<TxnNode>(base_.NextUid(), nullptr, UINT32_MAX,
+                                       name);
   top->hts() = cc::Hts::TopLevel(counter);
   top->exec_id =
       recorder_.BeginExecution(model::kNoExec, model::kEnvironmentObject, name);
@@ -368,8 +359,8 @@ Value Executor::InvokeChild(TxnNode& parent, const MethodRef& m, Args args,
                             uint32_t po, TxnNode* restore) {
   Object& obj = *m.object;
   uint64_t child_counter = parent.NextChildCounter();
-  auto owned = std::make_unique<TxnNode>(next_uid_.fetch_add(1) + 1, &parent,
-                                         obj.id(), *m.name);
+  auto owned =
+      std::make_unique<TxnNode>(base_.NextUid(), &parent, obj.id(), *m.name);
   TxnNode* child = parent.AddChild(std::move(owned));
   child->hts() = parent.hts().Child(child_counter);
   uint64_t start = recorder_.NextSeq();

@@ -12,7 +12,7 @@
 //
 // Resolve-once / execute-many: the string forms of Invoke/Local above are
 // conveniences that resolve names on every call.  Steady-state callers
-// (workload generators, servers) resolve interned handles up front —
+// (FSM workloads, servers) resolve interned handles up front —
 //
 //   rt::MethodRef withdraw = exec.Resolve("acct", "withdraw");
 //   ... per transaction: txn.Invoke(withdraw, {50});   // no string maps
@@ -77,22 +77,18 @@ struct ExecutorOptions {
   /// Top-level retry budget on abort; retries re-run the transaction body
   /// with a fresh timestamp.
   int max_top_retries = 100;
-  /// NTO remembered-step garbage collection (E8 ablation).
-  bool nto_gc = true;
   /// Journal-GC cadence for the optimistic protocols (NTO/CERT/MIXED):
   /// fold the applied journal into the base state once it reaches this
   /// many entries, every threshold/2 entries after.  0 disables folding —
-  /// the journal then grows for the run's lifetime, and the step path is
-  /// guaranteed to take zero journal mutexes (the folds are the only
-  /// locking the journal ever does; see rt::JournalMutexAcquisitions).
+  /// the journal then grows for the run's lifetime (NTO's Section 5.2
+  /// garbage collection IS this fold, so NTO remembers every step), and
+  /// the step path is guaranteed to take zero journal mutexes (the folds
+  /// are the only locking the journal ever does; see
+  /// rt::JournalMutexAcquisitions).
   size_t journal_fold_threshold = 64;
-  /// GEMSTONE: read-only operations take shared whole-object locks (the
-  /// conventional read lock of the reduction); off = the old
-  /// exclusive-only baseline (E1d ablation).
-  bool gemstone_shared_reads = true;
   /// Blocking-request behaviour for the locking protocols
-  /// (N2PL/GEMSTONE/MIXED-kLocal2pl): abort deadlock victims (kDetect),
-  /// back off and retry (kBackoff), or wound younger holders (kWoundWait).
+  /// (N2PL/GEMSTONE/MIXED-kLocal2pl): abort deadlock victims (kDetect) or
+  /// wound younger holders (kWoundWait).
   /// See cc::ContentionPolicy.
   cc::ContentionPolicy contention_policy = cc::ContentionPolicy::kDetect;
   /// Write-ahead durability (docs/durability.md).  kGroup/kPerCommit
@@ -215,7 +211,7 @@ class Executor {
   cc::ShardedController* sharded() { return sharded_; }
 
   /// The pooled branch scheduler (MethodCtx::InvokeParallel and the
-  /// workload runner's dedicated worker mode share it).  Owns no threads
+  /// FsmRunner's dedicated walker mode share it).  Owns no threads
   /// until the first parallel batch.
   BranchPool& branch_pool() { return branch_pool_; }
 
@@ -224,7 +220,7 @@ class Executor {
   TxnResult RunTransaction(const std::string& name, MethodFn body);
 
   /// Single attempt, no retry (tests that assert on specific aborts, and
-  /// callers owning their own retry loop — the workload runner).  A
+  /// callers that inspect each attempt's abort reason).  A
   /// non-zero `age_token` pins the top's environment serial instead of
   /// drawing a fresh one; pass a previous result's token only when that
   /// attempt was wounded (timestamp-ordering aborts want a FRESH stamp —
@@ -268,8 +264,7 @@ class Executor {
     std::array<std::atomic<uint64_t>, cc::kNumAbortReasons> aborts_by_reason{};
 
     /// Sharded topologies only: commits by home shard, with cross-shard
-    /// tops counted in the kCrossShardSlot bucket (the per-shard
-    /// throughput the workload runner reports).  Never stamped in the
+    /// tops counted in the kCrossShardSlot bucket.  Never stamped in the
     /// classic wiring — the single-shard commit path stays untouched.
     static constexpr size_t kCrossShardSlot = 64;
     std::array<std::atomic<uint64_t>, kCrossShardSlot + 1>
@@ -280,7 +275,6 @@ class Executor {
     }
   };
   Stats& stats() { return stats_; }
-  void ResetStats();
 
  private:
   friend class MethodCtx;
@@ -346,8 +340,6 @@ class Executor {
   cc::ShardedController* sharded_ = nullptr;  // non-null iff num_shards > 1
   std::vector<cc::MixedController*> shard_mixeds_;  // sharded kMixed only
   bool supports_partial_abort_ = false;
-  std::atomic<uint64_t> next_uid_{0};
-  std::atomic<uint64_t> next_top_counter_{0};
   Stats stats_;
   std::deque<MethodTable> method_tables_;  // indexed by object id
   std::mutex intern_mu_;

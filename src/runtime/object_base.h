@@ -43,6 +43,16 @@ class ObjectBase {
   /// Resets every object to its initial state (between benchmark runs).
   void ResetAll();
 
+  /// The environment's serial number for a new top-level transaction (the
+  /// first hts component, Section 5.2) and the uid of a new method
+  /// execution.  Both count per base, not per Executor: the objects'
+  /// journals keep the timestamps and uids of every executor that ran on
+  /// them, so a later executor must draw past them — restarting at 1 would
+  /// make NTO reject its steps as late and alias its uids with old journal
+  /// entries.  One fetch_add each, on separate cache lines.
+  uint64_t NextTopCounter() { return next_top_counter_.fetch_add(1) + 1; }
+  uint64_t NextUid() { return next_uid_.fetch_add(1) + 1; }
+
  protected:
   void set_num_shards(uint32_t n) { num_shards_ = n; }
 
@@ -50,6 +60,8 @@ class ObjectBase {
   std::vector<std::unique_ptr<Object>> objects_;
   std::unordered_map<std::string, uint32_t> by_name_;  // resolve-time index
   uint32_t num_shards_ = 1;
+  alignas(64) std::atomic<uint64_t> next_top_counter_{0};
+  alignas(64) std::atomic<uint64_t> next_uid_{0};
 };
 
 /// ObjectBase partitioned across N shards (docs/sharding.md).  Placement is

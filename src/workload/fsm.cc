@@ -79,8 +79,7 @@ void FsmRunner::Walk(const std::vector<const FsmWorkload*>& workloads,
                      const std::vector<std::vector<std::string>>& txn_names,
                      const WalkerPlan& plan, FsmRunResult& result,
                      std::mutex& result_mu, std::mutex& failure_mu) {
-  // Same walker-seed recipe as the fixed-loop runner: reproducible per
-  // (seed, walker), independent streams across walkers.
+  // Reproducible per (seed, walker), independent streams across walkers.
   Rng rng(opts_.seed * 1315423911ull +
           static_cast<uint64_t>(plan.walker_id) * 2654435761ull + 1);
   // One FSM cursor per workload the walker interleaves (indexed by global
@@ -143,8 +142,8 @@ void FsmRunner::RunWalkerBatch(
     const std::vector<WalkerPlan>& plans, FsmRunResult& result,
     std::mutex& result_mu, std::mutex& failure_mu) {
   if (plans.empty()) return;
-  // Dedicated mode, like the fixed-loop runner: each task is a whole walk,
-  // so every walker needs a live pool thread and the dispatcher only waits.
+  // Dedicated mode: each task is a whole walk, so every walker needs a live
+  // pool thread and the dispatcher only waits.
   rt::BranchPool& pool = exec_.branch_pool();
   pool.EnsureWorkers(plans.size());
   rt::BranchPool::Batch batch(pool);

@@ -1,11 +1,13 @@
-// FSM-composed workloads: scenario coverage as finite-state machines.
+// FSM workloads: the library's one way to drive load.
 //
-// The fixed-loop generators (generators.h) each drive ONE transaction mix
-// with static weights.  This framework instead describes a workload as a
-// finite-state machine in the style of MongoDB's FSM concurrency-testing
-// framework (SNIPPETS.md Snippet 3): named states — each a transaction body
-// factory plus an optional post-commit invariant check — connected by a
-// row-stochastic transition table, walked by per-thread seeded walkers.
+// A workload is a finite-state machine in the style of MongoDB's FSM
+// concurrency-testing framework (SNIPPETS.md Snippet 3): named states —
+// each a transaction body factory plus an optional post-commit invariant
+// check — connected by a row-stochastic transition table, walked by
+// per-thread seeded walkers.  A fixed weighted mix is the special case
+// whose rows all equal the weights (MakeBankingFsm, MakeQueueFsm in
+// fsm_scenarios.h).  Every visit runs through Executor::RunTransaction, so
+// the executor's retry loop is the only one.
 //
 // The runner provides three execution modes:
 //   * serial   — workloads run one after another, each on its own walker
@@ -43,10 +45,10 @@ namespace objectbase::workload {
 
 class FsmCheckCtx;
 
-/// One state of an FSM workload: a transaction body factory (same contract
-/// as TxnTemplate::make — sample parameters from the Rng NOW, capture them
-/// by value, never reference the Rng from the returned body) plus an
-/// optional post-commit invariant check.
+/// One state of an FSM workload: a transaction body factory (sample the
+/// parameters from the Rng NOW, capture them by value, never reference the
+/// Rng from the returned body) plus an optional post-commit invariant
+/// check.
 struct FsmState {
   std::string name;
   std::function<rt::MethodFn(Rng&)> make;
@@ -167,8 +169,8 @@ class FsmCheckCtx {
 };
 
 /// Runs FSM workloads against one executor.  The runner owns no threads of
-/// its own: walkers are dispatched on the executor's BranchPool in the
-/// workload runner's dedicated mode (one whole-walk task per walker).
+/// its own: walkers are dispatched on the executor's BranchPool in
+/// dedicated mode (one whole-walk task per walker).
 class FsmRunner {
  public:
   FsmRunner(rt::Executor& exec, FsmRunOptions opts = {})

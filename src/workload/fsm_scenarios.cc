@@ -1,19 +1,21 @@
 #include "src/workload/fsm_scenarios.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "src/adt/bank_account_adt.h"
 #include "src/adt/btree_dictionary_adt.h"
 #include "src/adt/counter_adt.h"
 #include "src/adt/queue_adt.h"
 #include "src/adt/set_adt.h"
 
-// Every scenario follows the generators.cc resolve-once/execute-many
-// discipline: the workload's `setup` hook resolves MethodRefs into a shared
-// Handles struct, so state bodies and checks touch no name maps.  Checks
+// Every scenario follows the resolve-once/execute-many discipline: the
+// workload's `setup` hook resolves MethodRefs into a shared Handles struct,
+// so state bodies and checks touch no name maps.  Checks
 // read THROUGH transactions (one read-only txn per check) — a check that
 // fails to commit under contention observed no serialisation point and
 // passes no judgment.
@@ -25,7 +27,206 @@ std::string Obj(const std::string& prefix, const char* suffix) {
   return prefix + ":" + suffix;
 }
 
+std::string Numbered(const char* prefix, int i) {
+  return std::string(prefix) + ":" + std::to_string(i);
+}
+
+// An i.i.d. mix: every row of the transition table is the state weights, so
+// the next state is drawn independently of the current one.
+std::vector<std::vector<double>> IidRows(const std::vector<double>& weights) {
+  std::vector<std::vector<double>> rows(weights.size(), weights);
+  NormalizeTransitionRows(rows);
+  return rows;
+}
+
 }  // namespace
+
+// --- banking ---------------------------------------------------------------------
+
+namespace {
+struct BankingHandles {
+  std::vector<rt::MethodRef> withdraw, deposit, balance;  // per account
+  std::vector<rt::MethodRef> branch_add, branch_get;      // per branch
+};
+}  // namespace
+
+void SetupBanking(rt::ObjectBase& base, const BankingParams& p) {
+  for (int i = 0; i < p.accounts; ++i) {
+    base.CreateObject(Numbered("acct", i), adt::MakeBankAccountSpec(p.initial));
+  }
+  for (int i = 0; i < p.branches; ++i) {
+    base.CreateObject(Numbered("branch", i), adt::MakeCounterSpec(0));
+  }
+}
+
+FsmWorkload MakeBankingFsm(const BankingParams& p) {
+  const BankingParams params = p;
+  auto zipf = std::make_shared<ZipfGenerator>(p.accounts, p.theta);
+  auto handles = std::make_shared<BankingHandles>();
+
+  FsmWorkload w;
+  w.name = "banking";
+
+  w.setup = [params, handles](rt::Executor& exec) {
+    *handles = BankingHandles{};
+    for (int i = 0; i < params.accounts; ++i) {
+      rt::ObjectHandle acct = exec.FindObject(Numbered("acct", i));
+      handles->withdraw.push_back(exec.Resolve(acct, "withdraw"));
+      handles->deposit.push_back(exec.Resolve(acct, "deposit"));
+      handles->balance.push_back(exec.Resolve(acct, "balance"));
+    }
+    for (int i = 0; i < params.branches; ++i) {
+      rt::ObjectHandle branch = exec.FindObject(Numbered("branch", i));
+      handles->branch_add.push_back(exec.Resolve(branch, "add"));
+      handles->branch_get.push_back(exec.Resolve(branch, "get"));
+    }
+  };
+
+  FsmState transfer;
+  transfer.name = "transfer";
+  transfer.make = [params, zipf, handles](Rng& rng) -> rt::MethodFn {
+    int from = static_cast<int>(zipf->Next(rng));
+    int to = static_cast<int>(zipf->Next(rng));
+    if (to == from) to = (to + 1) % params.accounts;
+    int64_t amount = rng.Range(1, 20);
+    int branch_from = from % params.branches;
+    int branch_to = to % params.branches;
+    return [handles, from, to, amount, branch_from,
+            branch_to](rt::MethodCtx& txn) -> Value {
+      if (!txn.Invoke(handles->withdraw[from], {amount}).AsBool()) {
+        return Value(false);  // insufficient funds: no-op txn
+      }
+      txn.Invoke(handles->deposit[to], {amount});
+      txn.Invoke(handles->branch_add[branch_from], {-amount});
+      txn.Invoke(handles->branch_add[branch_to], {amount});
+      return Value(true);
+    };
+  };
+  w.states.push_back(transfer);
+  std::vector<double> weights{1.0 - p.audit_weight};
+
+  if (p.audit_weight > 0) {
+    FsmState audit;
+    audit.name = "audit";
+    audit.make = [params, zipf, handles](Rng& rng) -> rt::MethodFn {
+      std::vector<int> targets;
+      for (int i = 0; i < params.audit_scan; ++i) {
+        targets.push_back(static_cast<int>(zipf->Next(rng)));
+      }
+      return [handles, targets](rt::MethodCtx& txn) -> Value {
+        int64_t sum = 0;
+        for (int t : targets) sum += txn.Invoke(handles->balance[t]).AsInt();
+        return Value(sum);
+      };
+    };
+    w.states.push_back(audit);
+    weights.push_back(p.audit_weight);
+  }
+  w.transitions = IidRows(weights);
+
+  // Each transfer debits one account, credits another and moves the amount
+  // through the branch counters with net zero, so the total never changes.
+  w.teardown = [params, handles](FsmCheckCtx& ctx) {
+    auto total = std::make_shared<int64_t>(0);
+    rt::TxnResult r = ctx.exec().RunTransaction(
+        "banking/audit-all", [handles, total](rt::MethodCtx& txn) -> Value {
+          *total = 0;
+          for (const rt::MethodRef& b : handles->balance) {
+            *total += txn.Invoke(b).AsInt();
+          }
+          for (const rt::MethodRef& g : handles->branch_get) {
+            *total += txn.Invoke(g).AsInt();
+          }
+          return Value();
+        });
+    if (!r.committed) {
+      ctx.Fail("teardown audit transaction failed to commit");
+      return;
+    }
+    const int64_t expected = params.initial * params.accounts;
+    if (*total != expected) {
+      ctx.Fail("money not conserved: total " + std::to_string(*total) +
+               " != " + std::to_string(expected));
+    }
+  };
+  return w;
+}
+
+// --- queue load ------------------------------------------------------------------
+
+namespace {
+struct QueueHandles {
+  std::vector<rt::MethodRef> enqueue, dequeue;  // per queue
+};
+}  // namespace
+
+void SetupQueues(rt::ObjectBase& base, const QueueParams& p) {
+  for (int i = 0; i < p.queues; ++i) {
+    base.CreateObject(Numbered("queue", i), adt::MakeQueueSpec());
+  }
+}
+
+FsmWorkload MakeQueueFsm(const QueueParams& p) {
+  const QueueParams params = p;
+  // A global tag source keeps enqueued values distinct, which is what lets
+  // step-granularity conflict tests tell items apart.
+  auto tag = std::make_shared<std::atomic<int64_t>>(1'000'000);
+  auto handles = std::make_shared<QueueHandles>();
+
+  FsmWorkload w;
+  w.name = "queue-load";
+
+  w.setup = [params, tag, handles](rt::Executor& exec) {
+    *handles = QueueHandles{};
+    for (int i = 0; i < params.queues; ++i) {
+      rt::ObjectHandle q = exec.FindObject(Numbered("queue", i));
+      handles->enqueue.push_back(exec.Resolve(q, "enqueue"));
+      handles->dequeue.push_back(exec.Resolve(q, "dequeue"));
+    }
+    if (params.prefill <= 0) return;
+    const int64_t first = tag->fetch_add(params.prefill * params.queues);
+    exec.RunTransaction("queue-load/prefill",
+                        [params, handles, first](rt::MethodCtx& txn) -> Value {
+                          int64_t next = first;
+                          for (const rt::MethodRef& enq : handles->enqueue) {
+                            for (int64_t i = 0; i < params.prefill; ++i) {
+                              txn.Invoke(enq, {next++});
+                            }
+                          }
+                          return Value();
+                        });
+  };
+
+  FsmState produce;
+  produce.name = "produce";
+  produce.make = [params, tag, handles](Rng& rng) -> rt::MethodFn {
+    int q = static_cast<int>(rng.Uniform(params.queues));
+    int64_t base_tag = tag->fetch_add(params.batch);
+    return [params, handles, q, base_tag](rt::MethodCtx& txn) -> Value {
+      for (int i = 0; i < params.batch; ++i) {
+        txn.Invoke(handles->enqueue[q], {base_tag + i});
+      }
+      return Value(static_cast<int64_t>(params.batch));
+    };
+  };
+
+  FsmState consume;
+  consume.name = "consume";
+  consume.make = [params, handles](Rng& rng) -> rt::MethodFn {
+    int q = static_cast<int>(rng.Uniform(params.queues));
+    return [params, handles, q](rt::MethodCtx& txn) -> Value {
+      int64_t got = 0;
+      for (int i = 0; i < params.batch; ++i) {
+        if (!txn.Invoke(handles->dequeue[q]).is_none()) ++got;
+      }
+      return Value(got);
+    };
+  };
+
+  w.states = {produce, consume};
+  w.transitions = IidRows({p.producer_weight, p.consumer_weight});
+  return w;
+}
 
 // --- secondary-index maintenance --------------------------------------------
 

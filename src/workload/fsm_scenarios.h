@@ -1,5 +1,16 @@
-// The three seeded FSM scenarios — the structural workloads the fixed-loop
-// generators never covered (ROADMAP "FSM-composed workload framework"):
+// The seeded FSM scenarios.  Two are the i.i.d. load mixes the examples
+// and handle tests drive:
+//
+//   * banking: transfers and audits over BankAccount objects and branch
+//     Counters; the teardown checks that money is conserved;
+//   * queue load: producers and consumers over FIFO Queues (the Section 5.1
+//     Enqueue/Dequeue story).
+//
+// In both, every transition row equals the state weights, so the state a
+// walker visits next never depends on the one it just visited.  Walker
+// count and visits per walker are the returned workload's `threads` and
+// `iterations`.  The other
+// three are structural workloads whose transition tables carry meaning:
 //
 //   * secondary-index maintenance: a BTreeDictionary catalogue and a Set
 //     secondary index kept MUTUALLY CONSISTENT (index contains exactly the
@@ -16,11 +27,11 @@
 //     checks pin per-walker version monotonicity and version >= entries
 //     added.
 //
-// Each scenario prefixes its object names, so any combination can share one
-// ObjectBase (the composed-mode requirement).  Call SetupX on the base
-// BEFORE constructing the executor; the returned workload's `setup` hook
-// resolves handles and prefills via the executor (generators.h discipline:
-// resolve once, execute many).
+// Call SetupX on the base BEFORE constructing the executor; the returned
+// workload's `setup` hook resolves MethodRefs and prefills via the executor
+// (resolve once, execute many: state bodies touch no name maps).  The three
+// structural scenarios prefix their object names, so any combination can
+// share one ObjectBase (the composed-mode requirement).
 #ifndef OBJECTBASE_WORKLOAD_FSM_SCENARIOS_H_
 #define OBJECTBASE_WORKLOAD_FSM_SCENARIOS_H_
 
@@ -29,6 +40,43 @@
 #include "src/workload/fsm.h"
 
 namespace objectbase::workload {
+
+// --- banking ------------------------------------------------------------------
+// Objects: acct:0 .. acct:<accounts-1> (BankAccounts opening at `initial`),
+// branch:0 .. branch:<branches-1> (Counters).
+// States: transfer (withdraw one account, deposit another, move the amount
+// through both accounts' branch counters), audit (read `audit_scan`
+// balances; present only when audit_weight > 0).  Key skew `theta`
+// (0 = uniform) controls contention.  Teardown: accounts plus branch
+// counters still sum to accounts * initial.
+struct BankingParams {
+  int accounts = 64;
+  int branches = 4;
+  int64_t initial = 10'000;
+  double theta = 0.0;
+  double audit_weight = 0.2;
+  int audit_scan = 8;  ///< Balances read per audit.
+};
+void SetupBanking(rt::ObjectBase& base, const BankingParams& p);
+FsmWorkload MakeBankingFsm(const BankingParams& p);
+
+// --- queue load -----------------------------------------------------------------
+// Objects: queue:0 .. queue:<queues-1> (Queues).
+// States: produce (enqueue `batch` distinct tags on one queue), consume
+// (dequeue `batch` times from one queue).  Under operation-granularity
+// locking every enqueue blocks every dequeue on the same queue; under step
+// granularity they only conflict when the dequeue returns the enqueued item
+// or sees an empty queue (Section 5.1).  Setup enqueues `prefill` items per
+// queue so dequeues rarely hit empty.
+struct QueueParams {
+  int queues = 8;
+  int batch = 4;
+  double producer_weight = 1.0;
+  double consumer_weight = 1.0;
+  int64_t prefill = 64;
+};
+void SetupQueues(rt::ObjectBase& base, const QueueParams& p);
+FsmWorkload MakeQueueFsm(const QueueParams& p);
 
 // --- secondary-index maintenance --------------------------------------------
 // Objects: <prefix>:dict (BTreeDictionary), <prefix>:index (Set).

@@ -133,6 +133,45 @@ TEST_P(ExecutorBasicTest, StatsCountCommits) {
   EXPECT_EQ(exec.stats().committed.load(), 7u);
 }
 
+// Objects keep their applied journals across executors, so a second
+// executor on a used base meets the first one's timestamps and uids.  It
+// must draw past them: with per-executor counters restarting at 1, every
+// NTO step of the second executor lost to an older-looking remembered step
+// and no transaction committed within its retry budget.
+TEST_P(ExecutorBasicTest, SecondExecutorOnUsedBaseCommits) {
+  ObjectBase base;
+  base.CreateObject("c", adt::MakeCounterSpec(0));
+  base.CreateObject("r", adt::MakeRegisterSpec(0));
+  auto bump = [](int64_t v) {
+    return [v](MethodCtx& txn) {
+      txn.Invoke("c", "add", {1});
+      txn.Invoke("r", "write", {v});
+      return Value();
+    };
+  };
+  {
+    Executor first(base, {.protocol = GetParam(), .record = false});
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(first.RunTransaction("first", bump(i)).committed);
+    }
+  }
+  Executor second(base, {.protocol = GetParam(), .max_top_retries = 5});
+  int committed = 0;
+  for (int i = 0; i < 200; ++i) {
+    if (second.RunTransaction("second", bump(i)).committed) ++committed;
+  }
+  EXPECT_EQ(committed, 200);
+  TxnResult total = second.RunTransaction(
+      "total", [](MethodCtx& txn) { return txn.Invoke("c", "get"); });
+  ASSERT_TRUE(total.committed);
+  EXPECT_EQ(total.ret, Value(int64_t{2000 + committed}));
+  model::History h = second.recorder().Snapshot();
+  model::LegalityResult legal = model::CheckLegal(h, /*committed_only=*/true);
+  EXPECT_TRUE(legal.legal) << legal.error;
+  model::SerialisabilityCheck check = model::CheckSerialisable(h);
+  EXPECT_TRUE(check.serialisable) << check.detail;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, ExecutorBasicTest,
     ::testing::Values(Protocol::kN2pl, Protocol::kNto, Protocol::kCert,

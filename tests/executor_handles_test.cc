@@ -11,8 +11,7 @@
 #include "src/adt/register_adt.h"
 #include "src/adt/set_adt.h"
 #include "src/runtime/executor.h"
-#include "src/workload/generators.h"
-#include "src/workload/spec.h"
+#include "src/workload/fsm_scenarios.h"
 
 namespace objectbase::rt {
 namespace {
@@ -206,7 +205,7 @@ TEST(HandlesTest, ParallelBoundCalls) {
 
 // --- the acceptance invariant ---------------------------------------------
 
-// After `prepare`, the per-step path of the offered workload performs NO
+// After `setup`, the per-step path of the offered workload performs NO
 // name lookups at all: neither ObjectBase::Find nor AdtSpec::FindOp fires
 // while transactions execute through interned handles.  This is the
 // assertion form of the "string-free steady state" acceptance criterion.
@@ -220,17 +219,17 @@ void RunLookupFreeSteadyState(Protocol protocol) {
   ObjectBase base;
   workload::SetupBanking(base, p);
   Executor exec(base, {.protocol = protocol, .record = true});
-  workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-  ASSERT_TRUE(static_cast<bool>(spec.prepare));
-  spec.prepare(exec);  // resolve-once: all handle resolution happens here
+  workload::FsmWorkload w = workload::MakeBankingFsm(p);
+  ASSERT_TRUE(static_cast<bool>(w.setup));
+  w.setup(exec);  // resolve-once: all handle resolution happens here
 
   const uint64_t find_before = ObjectFindCalls().load();
   const uint64_t op_before = adt::FindOpCalls().load();
   Rng rng(7);
   for (int i = 0; i < 40; ++i) {
-    for (const workload::TxnTemplate& tmpl : spec.mix) {
-      MethodFn body = tmpl.make(rng);
-      exec.RunTransaction(tmpl.name, std::move(body));
+    for (const workload::FsmState& state : w.states) {
+      MethodFn body = state.make(rng);
+      exec.RunTransaction(state.name, std::move(body));
     }
   }
   EXPECT_GT(exec.stats().committed.load(), 0u);

@@ -135,6 +135,8 @@ TEST(FsmValidation, SeededScenariosAreWellFormed) {
   EXPECT_EQ(ValidateFsm(MakeSecondaryIndexFsm(SmallSi())), "");
   EXPECT_EQ(ValidateFsm(MakeQueuePipelineFsm(SmallQp())), "");
   EXPECT_EQ(ValidateFsm(MakeCatalogueFsm(SmallCat())), "");
+  EXPECT_EQ(ValidateFsm(MakeBankingFsm(BankingParams{})), "");
+  EXPECT_EQ(ValidateFsm(MakeQueueFsm(QueueParams{})), "");
 }
 
 // --- runner modes ------------------------------------------------------------

@@ -28,6 +28,26 @@
 
 namespace objectbase::rt {
 
+/// The O(depth) kin test the journal's conflict scans used before the
+/// packed-stamp fast path (AppliedJournal::Entry::IncomparableWith):
+/// comparable iff one execution's uid appears in the other's self..top
+/// chain.  Works on any entry with `exec_uid` and `chain` fields — the
+/// production Entry (differential test) and ReferenceJournal::Entry.
+template <typename EntryT>
+bool IncomparableByChainWalk(const EntryT& e,
+                             const std::vector<uint64_t>& other_chain) {
+  if (std::find(other_chain.begin(), other_chain.end(), e.exec_uid) !=
+      other_chain.end()) {
+    return false;
+  }
+  if (!other_chain.empty() &&
+      std::find(e.chain->begin(), e.chain->end(), other_chain.front()) !=
+          e.chain->end()) {
+    return false;
+  }
+  return true;
+}
+
 class ReferenceJournal {
  public:
   struct Entry {
@@ -43,16 +63,7 @@ class ReferenceJournal {
     bool aborted = false;
 
     bool IncomparableWith(const std::vector<uint64_t>& other_chain) const {
-      if (std::find(other_chain.begin(), other_chain.end(), exec_uid) !=
-          other_chain.end()) {
-        return false;
-      }
-      if (!other_chain.empty() &&
-          std::find(chain->begin(), chain->end(), other_chain.front()) !=
-              chain->end()) {
-        return false;
-      }
-      return true;
+      return IncomparableByChainWalk(*this, other_chain);
     }
   };
 

@@ -186,7 +186,8 @@ void RunFuzzRound(uint64_t seed) {
   const int threads = 2 + static_cast<int>(rng.Uniform(4));   // 2..5
   const int txns = 10 + static_cast<int>(rng.Uniform(25));    // 10..34
   // Journal-GC cadence: eager folding stresses chunk retirement under
-  // racing scans; 0 stresses long lock-free windows.
+  // racing scans; 0 stresses long lock-free windows (and, under NTO, runs
+  // without the Section 5.2 watermark GC, which is this fold).
   const size_t fold_thresholds[] = {0, 8, 64};
   const size_t fold_threshold = fold_thresholds[rng.Uniform(3)];
   // The draw always happens so pinned seeds replay identically whether or
@@ -218,7 +219,6 @@ void RunFuzzRound(uint64_t seed) {
   Executor exec(base, {.protocol = protocol,
                        .granularity = granularity,
                        .max_top_retries = 50,
-                       .nto_gc = rng.Bernoulli(0.8),
                        .journal_fold_threshold = fold_threshold});
   if (protocol == Protocol::kMixed) {
     const cc::IntraPolicy policies[] = {cc::IntraPolicy::kLocal2pl,

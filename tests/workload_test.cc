@@ -1,13 +1,35 @@
-// Workload generator and runner tests: specs are well-formed, run under
-// every protocol, and the runner's metrics add up.
+// The banking and queue FSM builders: their mixes are i.i.d. (every
+// transition row is the state weights), they run under every protocol
+// through FsmRunner, and their invariants hold.
 #include <gtest/gtest.h>
 
-#include "src/adt/counter_adt.h"
-#include "src/workload/generators.h"
-#include "src/workload/runner.h"
+#include "src/workload/fsm_scenarios.h"
 
 namespace objectbase::workload {
 namespace {
+
+TEST(WorkloadTest, MixRowsEqualStateWeights) {
+  BankingParams bp;
+  bp.audit_weight = 0.25;
+  FsmWorkload bank = MakeBankingFsm(bp);
+  ASSERT_EQ(bank.transitions.size(), 2u);
+  for (const std::vector<double>& row : bank.transitions) {
+    EXPECT_DOUBLE_EQ(row[0], 0.75);
+    EXPECT_DOUBLE_EQ(row[1], 0.25);
+  }
+  bp.audit_weight = 0;
+  EXPECT_EQ(MakeBankingFsm(bp).states.size(), 1u) << "no audit state";
+
+  QueueParams qp;
+  qp.producer_weight = 3;
+  qp.consumer_weight = 1;
+  FsmWorkload queue = MakeQueueFsm(qp);
+  ASSERT_EQ(queue.transitions.size(), 2u);
+  for (const std::vector<double>& row : queue.transitions) {
+    EXPECT_DOUBLE_EQ(row[0], 0.75);
+    EXPECT_DOUBLE_EQ(row[1], 0.25);
+  }
+}
 
 TEST(WorkloadTest, BankingRunsUnderAllProtocols) {
   BankingParams p;
@@ -19,14 +41,16 @@ TEST(WorkloadTest, BankingRunsUnderAllProtocols) {
     rt::ObjectBase base;
     SetupBanking(base, p);
     rt::Executor exec(base, {.protocol = protocol, .record = false});
-    WorkloadSpec spec = MakeBankingSpec(p);
-    spec.threads = 3;
-    spec.txns_per_thread = 20;
-    RunMetrics m = RunWorkload(exec, spec);
-    EXPECT_GT(m.committed, 0u) << rt::ProtocolName(protocol);
-    EXPECT_GT(m.Throughput(), 0.0);
-    EXPECT_EQ(m.latency_ns.count(),
-              static_cast<uint64_t>(spec.threads) * spec.txns_per_thread);
+    FsmWorkload w = MakeBankingFsm(p);
+    w.threads = 3;
+    w.iterations = 20;
+    FsmRunResult r =
+        FsmRunner(exec, {.mode = FsmMode::kParallel}).Run({&w});
+    EXPECT_TRUE(r.ok()) << rt::ProtocolName(protocol) << ": "
+                        << (r.failures.empty() ? "" : r.failures[0]);
+    EXPECT_EQ(r.visits, static_cast<uint64_t>(w.threads * w.iterations));
+    EXPECT_GT(r.committed, 0u) << rt::ProtocolName(protocol);
+    EXPECT_GT(r.VisitsPerSecond(), 0.0);
   }
 }
 
@@ -38,13 +62,13 @@ TEST(WorkloadTest, BankingConservesMoney) {
   rt::ObjectBase base;
   SetupBanking(base, p);
   rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl, .record = false});
-  WorkloadSpec spec = MakeBankingSpec(p);
-  spec.threads = 4;
-  spec.txns_per_thread = 50;
-  RunWorkload(exec, spec);
-  // Accounts plus branch counters must sum to the initial endowment (each
-  // transfer debits one account, credits another, and moves the delta
-  // through the branch counters with net zero).
+  FsmWorkload w = MakeBankingFsm(p);
+  w.threads = 4;
+  w.iterations = 50;
+  FsmRunResult r = FsmRunner(exec, {.mode = FsmMode::kParallel}).Run({&w});
+  EXPECT_TRUE(r.ok()) << (r.failures.empty() ? "" : r.failures[0]);
+  // The teardown audits too; this re-reads by name, independently of the
+  // workload's own handles.
   int64_t total = 0;
   exec.RunTransaction("audit", [&](rt::MethodCtx& txn) {
     for (int i = 0; i < p.accounts; ++i) {
@@ -58,149 +82,50 @@ TEST(WorkloadTest, BankingConservesMoney) {
   EXPECT_EQ(total, p.initial * p.accounts);
 }
 
-TEST(WorkloadTest, QueueSpecPrefillsAndBalances) {
+TEST(WorkloadTest, QueueFsmPrefillsAndRuns) {
   QueueParams p;
   p.queues = 2;
   p.batch = 3;
+  p.prefill = 5;
   rt::ObjectBase base;
   SetupQueues(base, p);
   rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl,
                            .granularity = cc::Granularity::kStep,
                            .record = false});
-  WorkloadSpec spec = MakeQueueSpec(p);
-  spec.threads = 2;
-  spec.txns_per_thread = 30;
-  RunMetrics m = RunWorkload(exec, spec);
-  EXPECT_GT(m.committed, 0u);
-}
-
-TEST(WorkloadTest, SemanticSpecCountersVsRegisters) {
-  for (bool counters : {true, false}) {
-    SemanticParams p;
-    p.objects = 4;
-    p.use_counters = counters;
-    rt::ObjectBase base;
-    SetupSemantic(base, p);
-    rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl,
-                             .record = false});
-    WorkloadSpec spec = MakeSemanticSpec(p);
-    spec.threads = 2;
-    spec.txns_per_thread = 25;
-    RunMetrics m = RunWorkload(exec, spec);
-    EXPECT_GT(m.committed, 0u);
+  FsmWorkload w = MakeQueueFsm(p);
+  w.threads = 2;
+  w.iterations = 30;
+  w.setup(exec);
+  for (int q = 0; q < p.queues; ++q) {
+    rt::TxnResult len = exec.RunTransaction("len", [q](rt::MethodCtx& txn) {
+      return txn.Invoke("queue:" + std::to_string(q), "length");
+    });
+    EXPECT_EQ(len.ret, Value(p.prefill)) << "queue " << q;
   }
+  // Run() calls setup again, which enqueues a second, distinct prefill.
+  FsmRunResult r = FsmRunner(exec, {.mode = FsmMode::kParallel}).Run({&w});
+  EXPECT_TRUE(r.ok());
+  EXPECT_GT(r.committed, 0u);
 }
 
-TEST(WorkloadTest, FanoutSpecSplitsWork) {
-  FanoutParams p;
-  p.fanout = 3;
-  p.work_per_child = 4;
-  p.shards_per_thread = 2;
-  rt::ObjectBase base;
-  SetupFanout(base, p, /*max_threads=*/2);
-  rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl,
-                           .record = false});
-  WorkloadSpec spec = MakeFanoutSpec(p);
-  spec.threads = 2;
-  spec.txns_per_thread = 5;
-  RunMetrics m = RunWorkload(exec, spec);
-  EXPECT_EQ(m.committed, 10u);
-}
-
-TEST(WorkloadTest, DictionarySpecMaintainsCountInvariant) {
-  DictionaryParams p;
-  p.dicts = 2;
-  p.keyspace = 64;
-  rt::ObjectBase base;
-  SetupDictionary(base, p);
-  rt::Executor exec(base, {.protocol = rt::Protocol::kMixed,
-                           .record = false});
-  WorkloadSpec spec = MakeDictionarySpec(p);
-  spec.threads = 3;
-  spec.txns_per_thread = 30;
-  RunWorkload(exec, spec);
-  // "dict-total" tracks the total number of entries across dictionaries.
-  int64_t total_counter = 0;
-  int64_t actual = 0;
-  exec.RunTransaction("audit", [&](rt::MethodCtx& txn) {
-    total_counter = txn.Invoke("dict-total", "get").AsInt();
-    for (int i = 0; i < p.dicts; ++i) {
-      actual += txn.Invoke("dict:" + std::to_string(i), "count").AsInt();
-    }
-    return Value();
-  });
-  EXPECT_EQ(total_counter, actual);
-}
-
-TEST(WorkloadTest, MetricsExposeAbortBreakdown) {
+TEST(WorkloadTest, BankingAbortsAreAttributed) {
   BankingParams p;
   p.accounts = 2;  // maximal contention
   p.branches = 1;
   rt::ObjectBase base;
   SetupBanking(base, p);
   rt::Executor exec(base, {.protocol = rt::Protocol::kNto, .record = false});
-  WorkloadSpec spec = MakeBankingSpec(p);
-  spec.threads = 4;
-  spec.txns_per_thread = 40;
-  RunMetrics m = RunWorkload(exec, spec);
-  // Under hot contention NTO must see some timestamp rejections, and every
-  // abort must be accounted to a reason.
-  EXPECT_EQ(m.aborted_attempts,
-            m.deadlocks + m.ts_rejects + m.validation_fails + m.cascades +
-                exec.stats().AbortsFor(cc::AbortReason::kUser) +
-                exec.stats().AbortsFor(cc::AbortReason::kInjected) +
-                exec.stats().AbortsFor(cc::AbortReason::kNone));
-}
-
-// Direct unit test of the admission gate: a synthetic abort storm (every
-// attempt user-aborts) must engage the gate — but ONLY for new admissions.
-// In-flight retries are never gated, so every transaction still consumes
-// its full retry budget: shedding new work must not starve work already
-// admitted.
-TEST(WorkloadTest, AdmissionGateShedsOnlyNewAdmissions) {
-  const int kThreads = 2;
-  const uint64_t kTxns = 25;
-  const int kBudget = 3;  // attempts per transaction (1 + 2 retries)
-  for (double ratio : {0.5, 0.0}) {
-    rt::ObjectBase base;
-    base.CreateObject("c", adt::MakeCounterSpec(0));
-    rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl,
-                             .record = false,
-                             .max_top_retries = kBudget});
-    WorkloadSpec spec;
-    spec.name = "abort-storm";
-    spec.threads = kThreads;
-    spec.txns_per_thread = kTxns;
-    spec.backoff_base_us = 0;       // immediate retries: pure gate behaviour
-    spec.admission_abort_ratio = ratio;
-    spec.admission_min_samples = 8;  // engage early in the run
-    spec.admission_pause_us = 50;    // keep the throttled run fast
-    TxnTemplate storm;
-    storm.name = "always-abort";
-    storm.make = [](Rng&) -> rt::MethodFn {
-      return [](rt::MethodCtx& txn) -> Value {
-        txn.Abort();
-      };
-    };
-    spec.mix.push_back(std::move(storm));
-
-    RunMetrics m = RunWorkload(exec, spec);
-    const uint64_t total = kThreads * kTxns;
-    EXPECT_EQ(m.committed, 0u);
-    EXPECT_EQ(m.gave_up, total);
-    // The load-shedding invariant: every admitted transaction used its FULL
-    // retry budget.  If the gate ever shed an in-flight retry, this count
-    // would fall short.
-    EXPECT_EQ(m.retries, total * (kBudget - 1));
-    EXPECT_EQ(m.aborted_attempts, total * kBudget);
-    if (ratio > 0) {
-      // 100% abort ratio is far above the 0.5 bound: the gate must have
-      // paused at least one admission once the sample window filled.
-      EXPECT_GT(m.admission_throttled, 0u) << "gate never engaged";
-    } else {
-      EXPECT_EQ(m.admission_throttled, 0u) << "gate engaged while disabled";
-    }
+  FsmWorkload w = MakeBankingFsm(p);
+  w.threads = 4;
+  w.iterations = 40;
+  FsmRunResult r = FsmRunner(exec, {.mode = FsmMode::kParallel}).Run({&w});
+  EXPECT_TRUE(r.ok());
+  // Every aborted attempt is charged to exactly one reason.
+  uint64_t by_reason = 0;
+  for (size_t i = 0; i < cc::kNumAbortReasons; ++i) {
+    by_reason += exec.stats().AbortsFor(static_cast<cc::AbortReason>(i));
   }
+  EXPECT_EQ(exec.stats().aborted.load(), by_reason);
 }
 
 }  // namespace
