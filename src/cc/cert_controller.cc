@@ -3,10 +3,8 @@
 #include <algorithm>
 
 #include "src/adt/apply_order.h"
-#include "src/cc/lock_manager.h"
 #include "src/model/serialisation_graph.h"
 #include "src/runtime/apply.h"
-#include "src/runtime/wal.h"
 
 namespace objectbase::cc {
 
@@ -15,38 +13,13 @@ std::atomic<uint64_t>& CertStepExclusiveAcquisitions() {
   return counter;
 }
 
-CertController::CertController(rt::Recorder& recorder, Granularity granularity,
-                               size_t fold_threshold)
-    : recorder_(recorder),
-      granularity_(granularity),
-      fold_threshold_(fold_threshold) {}
-
-void CertController::OnTopBegin(rt::TxnNode& top) {
-  // Cache the packed slot handle on the node: every per-step doom poll and
-  // recorded journal entry addresses the registry slot directly.  (Under a
-  // sharded topology the handle lands in this shard's slot of the node's
-  // handle array — see Controller::BindShardSlot.)
-  SetDepHandle(top, deps_.Register(top.uid(), top.hts().top_component()).raw());
-}
-
 OpOutcome CertController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
                                        const adt::OpDescriptor& op,
                                        const Args& args) {
   const uint64_t my_top = txn.top()->uid();
   const DepRef my_ref = DepRef::FromRaw(DepHandleOf(*txn.top()));
-  // One relaxed atomic load; the conflict-free step path takes no
-  // DependencyGraph mutex.
-  if (deps_.IsDoomed(my_ref)) return OpOutcome::Abort(AbortReason::kDoomed);
-
+  if (!AdmitStep(obj, my_ref)) return OpOutcome::Abort(AbortReason::kDoomed);
   const std::vector<uint64_t>& chain = txn.AncestorChain();
-
-  // Opportunistic watermark GC (the same retirement rule as NTO); folds a
-  // committed prefix of the journal into the base state.  The cadence
-  // poll is lock-free (AppliedJournal::WantsFold + lock-free watermark
-  // scan).
-  if (obj.journal().WantsFold(fold_threshold_)) {
-    obj.FoldPrefix(deps_.MinActiveCounter(), fold_threshold_);
-  }
 
   // Objects that synchronise internally (the latch-crabbing B-tree) run
   // their operations concurrently, recorded or not — the application order
@@ -91,85 +64,30 @@ OpOutcome CertController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
     // Defensive fallback: a concurrent-apply spec that never stamped.
     my_pos = hook.fired() ? hook.key() : obj.journal().Reserve();
   }
-  const uint64_t raw = recorder_.NextSeq();  // leased; no global RMW
-  txn.PushUndo(rt::UndoRecord{my_pos, &obj, std::move(applied.undo)});
-  recorder_.RecordLocalStep(txn.exec_id, txn.NextPo(), obj.id(), op.id, args,
-                            applied.ret, my_pos, raw);
-  rt::JournalRecord entry;
-  entry.seq = raw;
-  entry.exec_uid = txn.uid();
-  entry.top_uid = my_top;
-  entry.dep = my_ref.raw();
-  entry.chain = txn.ChainPtr();
-  entry.hts = txn.HtsSnapshot();
-  entry.op_id = op.id;
-  entry.args = args;
-  entry.ret = applied.ret;
-  obj.journal().PublishAt(my_pos, std::move(entry));
-  if (wal_ != nullptr) {
-    // Stage the redo right after publication, keyed by the journal
-    // position (under concurrent apply the ring order may differ from the
-    // journal order; recovery sorts by this key, which the rebuild
-    // machinery already treats as the application order).
-    wal_->StageRedo(obj.id(), my_pos, my_top, txn.uid(), txn.ChainPtr(),
-                    op.id, args, applied.ret);
-  }
+  Value ret = rt::AcceptStep(txn, obj, op, args, std::move(applied), my_pos,
+                             my_ref.raw(), recorder_, wal_);
   bool doomed = false;
-  bool saw_conflict = false;
-  {
-    rt::AppliedJournal::Scan scan(obj.journal());
-    uint64_t last_dep = 0;  // consecutive same-writer entries: one edge
-    scan.ForEachConflicting(
-        obj.ConflictRowFor(op.id), my_pos, exclusive,
-        [&](const rt::AppliedJournal::Entry& e) {
-          if (e.IsAborted()) return true;
-          if (!e.IncomparableWith(chain)) return true;
-          if (granularity_ == Granularity::kStep) {
-            adt::StepView first{obj.spec().OpAt(e.op_id).name, &e.args,
-                                &e.ret, e.op_id};
-            adt::StepView second{op.name, &args, &applied.ret, op.id};
-            if (!obj.spec().StepConflicts(first, second)) return true;
-          }  // else: the conflict row already applied the op-level test
-          if (e.top_uid != my_top) {
-            if (e.dep != last_dep) {
-              last_dep = e.dep;
-              // Telemetry: only edges on LIVE rivals count as contention —
-              // settled history conflicts with every later scan by design.
-              if (deps_.IsUnfinished(DepRef::FromRaw(e.dep))) {
-                saw_conflict = true;
-              }
-              deps_.AddDependency(DepRef::FromRaw(e.dep), my_ref);
-              // Abort-marking recheck (docs/journal.md): a writer that
-              // aborted while we raced here may have retired its slot
-              // before the edge landed; its marking is visible by now.
-              if (e.IsAborted()) {
-                saw_conflict = true;
-                doomed = true;
-                return false;
-              }
-            }
-          } else {
-            // Parallel siblings of one transaction racing on the object:
-            // genuine intra-transaction contention.
-            saw_conflict = true;
-            SiblingStripe& stripe = StripeFor(my_top);
-            std::lock_guard<std::mutex> sg(stripe.mu);
-            stripe.edges[my_top].push_back(SiblingEdge{*e.chain, chain});
-          }
-          return true;
-        });
-  }
-  if (saw_conflict) {
-    // Telemetry only (one relaxed RMW per conflicting step, nothing on the
-    // conflict-free path): the governor reads this to find objects whose
-    // optimistic scans keep meeting incomparable rivals.
-    obj.contention().journal_conflicts.fetch_add(1, std::memory_order_relaxed);
-  }
+  RivalEdges edges{deps_, my_ref};
+  ForEachRival(
+      obj, op, args, granularity_ == Granularity::kStep ? &ret : nullptr,
+      chain, my_pos, exclusive, [&](const rt::AppliedJournal::Entry& e) {
+        if (e.top_uid != my_top) {
+          if (edges.Add(e)) return true;
+          doomed = true;
+          return false;
+        }
+        // Parallel siblings of one transaction racing on the object:
+        // genuine intra-transaction contention.
+        edges.conflict = true;
+        SiblingStripe& stripe = StripeFor(my_top);
+        std::lock_guard<std::mutex> sg(stripe.mu);
+        stripe.edges[my_top].push_back(SiblingEdge{*e.chain, chain});
+        return true;
+      });
+  edges.ChargeTelemetry(obj);
   if (doomed) return OpOutcome::Abort(AbortReason::kDoomed);
-  return OpOutcome::Ok(std::move(applied.ret));
+  return OpOutcome::Ok(std::move(ret));
 }
-
-void CertController::OnChildCommit(rt::TxnNode&) {}
 
 void CertController::AppendSiblingEdges(uint64_t top_uid,
                                         std::vector<SiblingEdge>& out) {
@@ -228,52 +146,7 @@ bool CertController::OnTopCommit(rt::TxnNode& top, AbortReason* reason) {
     *reason = AbortReason::kValidation;
     return false;
   }
-  const DepRef ref = DepRef::FromRaw(DepHandleOf(top));
-  if (!deps_.ValidateAndWait(ref, reason)) return false;
-  if (wal_ == nullptr) {
-    deps_.MarkCommitted(ref);
-    return true;
-  }
-  // Stage-before-MarkCommitted, wait after: see NtoController::OnTopCommit
-  // for the watermark-soundness argument (identical here).
-  const uint64_t pos = wal_->StageCommit(top.uid());
-  deps_.MarkCommitted(ref);
-  wal_->WaitDurable(pos, durability_wfg_,
-                    durability_wfg_ != nullptr ? ThisThreadKey() : 0);
-  return true;
-}
-
-namespace {
-
-void CollectObjects(rt::TxnNode& node, std::vector<rt::Object*>& out) {
-  for (const rt::UndoRecord& u : node.undo_log()) {
-    if (std::find(out.begin(), out.end(), u.object) == out.end()) {
-      out.push_back(u.object);
-    }
-  }
-  for (auto& child : node.children()) CollectObjects(*child, out);
-}
-
-}  // namespace
-
-void CertController::OnAbort(rt::TxnNode& node) {
-  // Mark the subtree's journal entries aborted and rebuild each touched
-  // object's state from its base.  The rebuild front-runs the doom
-  // cascade and excludes doomed transactions' entries (rebuild soundness
-  // — see Object::AbortEntriesAndRebuild and docs/journal.md).
-  std::vector<rt::Object*> touched;
-  CollectObjects(node, touched);
-  const DepRef top_ref = DepRef::FromRaw(DepHandleOf(*node.top()));
-  for (rt::Object* obj : touched) {
-    obj->AbortEntriesAndRebuild(
-        node.uid(), [&] { deps_.DoomSuccessorsTransitively(top_ref); },
-        [&](uint64_t dep_raw) {
-          return deps_.IsDoomed(DepRef::FromRaw(dep_raw));
-        });
-  }
-  if (node.parent() == nullptr) {
-    deps_.MarkAborted(DepRef::FromRaw(DepHandleOf(node)));
-  }
+  return OptimisticController::OnTopCommit(top, reason);
 }
 
 void CertController::OnTopFinished(rt::TxnNode& top) {

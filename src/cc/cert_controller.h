@@ -24,16 +24,9 @@
 #include <mutex>
 #include <vector>
 
-#include "src/cc/controller.h"
-#include "src/cc/dependency_graph.h"
-
-namespace objectbase::rt {
-class Recorder;
-}  // namespace objectbase::rt
+#include "src/cc/optimistic_controller.h"
 
 namespace objectbase::cc {
-
-class WaitsForGraph;
 
 /// Process-wide count of EXCLUSIVE state_mu acquisitions on the certifier's
 /// step path (the *MutexAcquisitions invariant-counter style).  Recorded or
@@ -44,29 +37,22 @@ class WaitsForGraph;
 /// scans) bump it.
 std::atomic<uint64_t>& CertStepExclusiveAcquisitions();
 
-class CertController : public Controller {
+class CertController : public OptimisticController {
  public:
-  /// `fold_threshold`: journal-GC cadence (fold at threshold, then every
-  /// threshold/2 entries); 0 disables folding — tests use it to pin the
-  /// zero-journal-mutex steady state.
+  /// `fold_threshold`: see OptimisticController.
   CertController(rt::Recorder& recorder, Granularity granularity,
-                 size_t fold_threshold = 64);
+                 size_t fold_threshold = 64)
+      : OptimisticController(recorder, granularity, fold_threshold) {}
 
   const char* name() const override { return "CERT"; }
 
-  void OnTopBegin(rt::TxnNode& top) override;
   OpOutcome ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
                          const adt::OpDescriptor& op,
                          const Args& args) override;
-  void OnChildCommit(rt::TxnNode& child) override;
+  /// Theorem 5 condition (b) on the top's sibling graph, then the shared
+  /// commit tail.
   bool OnTopCommit(rt::TxnNode& top, AbortReason* reason) override;
-  void OnAbort(rt::TxnNode& node) override;
   void OnTopFinished(rt::TxnNode& top) override;
-
-  bool SupportsPartialAbort() const override { return false; }
-  bool RollbackByRebuild() const override { return true; }
-
-  DependencyGraph& deps() { return deps_; }
 
   /// MIXED only: durability commit-waits are declared in the composite
   /// lock manager's waits-for graph (see MixedController::AttachWal), the
@@ -107,11 +93,6 @@ class CertController : public Controller {
     return sibling_stripes_[top_uid & (kSiblingStripes - 1)];
   }
 
-  rt::Recorder& recorder_;
-  Granularity granularity_;
-  size_t fold_threshold_;
-  WaitsForGraph* durability_wfg_ = nullptr;
-  DependencyGraph deps_;
   SiblingStripe sibling_stripes_[kSiblingStripes];
 };
 

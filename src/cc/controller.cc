@@ -1,6 +1,8 @@
 #include "src/cc/controller.h"
 
+#include "src/cc/lock_manager.h"
 #include "src/runtime/txn.h"
+#include "src/runtime/wal.h"
 
 namespace objectbase::cc {
 
@@ -15,6 +17,12 @@ void Controller::SetDepHandle(rt::TxnNode& top, uint64_t raw) const {
   } else {
     top.set_dep_handle_for(static_cast<uint32_t>(shard_slot_), raw);
   }
+}
+
+void Controller::CommitDurably(const rt::TxnNode& top,
+                               WaitsForGraph& wfg) const {
+  if (wal_ == nullptr) return;
+  wal_->WaitDurable(wal_->StageCommit(top.uid()), &wfg, ThisThreadKey());
 }
 
 }  // namespace objectbase::cc

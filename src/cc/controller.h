@@ -11,6 +11,17 @@
 //                         data item, exclusive whole-object locks)
 //   MixedController     — per-object intra-object policies under a global
 //                         certifier (Theorem 5 realised)
+//
+// The protocols differ only in how they ADMIT a step; the rest is shared.
+// An admitted step goes through the one accept path, rt::AcceptStep
+// (src/runtime/apply.h: undo record, recorded step, journal publication,
+// WAL redo).  The journal scans of NTO, CERT and MIXED share one conflict
+// filter (cc::ForEachRival, cc::RivalEdges), NTO and CERT one optimistic
+// lifecycle with one rebuild-abort (cc::OptimisticController,
+// cc::RebuildAbort — also the sharded router's), and the locking protocols
+// one lock-outcome mapping (cc::AbortReasonOf) and one durable-commit tail
+// (CommitDurably below).  Recovery has one split: per-step undo by the
+// runtime, or rebuild from the journal (RollbackByRebuild).
 #ifndef OBJECTBASE_CC_CONTROLLER_H_
 #define OBJECTBASE_CC_CONTROLLER_H_
 
@@ -29,6 +40,8 @@ class WalWriter;
 }  // namespace objectbase::rt
 
 namespace objectbase::cc {
+
+class WaitsForGraph;
 
 /// Why a method execution was aborted.
 enum class AbortReason {
@@ -137,6 +150,15 @@ class Controller {
   /// This controller's registry handle for `top` (see BindShardSlot).
   uint64_t DepHandleOf(const rt::TxnNode& top) const;
   void SetDepHandle(rt::TxnNode& top, uint64_t raw) const;
+
+  /// The locking protocols' (N2PL, GEMSTONE) durable-commit tail: stages
+  /// `top`'s commit marker and waits until it is durable; no-op without a
+  /// WAL.  Strict locks keep the top's effects invisible until
+  /// OnTopFinished releases them, so waiting here orders durability before
+  /// visibility.  The wait is declared in `wfg` (composite wait-state
+  /// visibility); the writer thread never blocks on locks, so it can never
+  /// close a cycle.
+  void CommitDurably(const rt::TxnNode& top, WaitsForGraph& wfg) const;
 
   rt::WalWriter* wal_ = nullptr;  ///< Null iff durability == kNone.
   int32_t shard_slot_ = -1;       ///< -1 = unsharded wiring.

@@ -1,7 +1,6 @@
 #include "src/cc/gemstone_controller.h"
 
 #include "src/runtime/apply.h"
-#include "src/runtime/wal.h"
 
 namespace objectbase::cc {
 
@@ -23,32 +22,21 @@ OpOutcome GemstoneController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
   } else {
     req.exclusive = true;
   }
-  switch (locks_.Acquire(*txn.top(), obj, std::move(req))) {
-    case LockManager::Outcome::kGranted:
-      break;
-    case LockManager::Outcome::kDeadlock:
-      return OpOutcome::Abort(AbortReason::kDeadlock);
-    case LockManager::Outcome::kWounded:
-      // Whole-object locks are owned by the top, so a GEMSTONE wound is
-      // always a whole-top abort (the reduction has no inner subtree that
-      // could absorb it).
-      return OpOutcome::Abort(AbortReason::kWounded);
-  }
+  // Whole-object locks are owned by the top, so a GEMSTONE wound is always
+  // a whole-top abort (the reduction has no inner subtree that could
+  // absorb it).
+  const AbortReason denied =
+      AbortReasonOf(locks_.Acquire(*txn.top(), obj, std::move(req)));
+  if (denied != AbortReason::kNone) return OpOutcome::Abort(denied);
   std::lock_guard<std::shared_mutex> g(obj.state_mu());
-  rt::AppliedOutcome out = rt::ApplyLocked(txn, obj, op, args, recorder_,
-                                           /*append_applied_log=*/false, wal_);
-  return OpOutcome::Ok(std::move(out.ret));
+  return OpOutcome::Ok(rt::ApplyLocked(txn, obj, op, args, recorder_, wal_));
 }
 
 void GemstoneController::OnChildCommit(rt::TxnNode&) {}
 
 bool GemstoneController::OnTopCommit(rt::TxnNode& top, AbortReason*) {
-  if (wal_ != nullptr) {
-    // Same reasoning as N2PL: strict whole-object locks are released only
-    // at OnTopFinished, so durability is ordered before visibility.
-    wal_->WaitDurable(wal_->StageCommit(top.uid()), &locks_.waits_for(),
-                      ThisThreadKey());
-  }
+  // Strict whole-object locks are released only at OnTopFinished.
+  CommitDurably(top, locks_.waits_for());
   return true;
 }
 

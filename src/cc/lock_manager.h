@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "src/adt/adt.h"
+#include "src/cc/controller.h"
 #include "src/cc/waits_for.h"
 #include "src/common/value.h"
 
@@ -384,6 +385,17 @@ class LockManager {
   std::mutex parked_mu_;
   std::vector<Waiter*> parked_;
 };
+
+/// Why a lock request was not granted (kNone when it was): the one
+/// outcome-to-abort mapping of every locking protocol.
+inline AbortReason AbortReasonOf(LockManager::Outcome outcome) {
+  switch (outcome) {
+    case LockManager::Outcome::kGranted: return AbortReason::kNone;
+    case LockManager::Outcome::kDeadlock: return AbortReason::kDeadlock;
+    case LockManager::Outcome::kWounded: return AbortReason::kWounded;
+  }
+  return AbortReason::kNone;
+}
 
 /// Key identifying the calling thread in the waits-for graph: a DENSE slot
 /// id drawn from a process-wide pool (released at thread exit and reused),

@@ -1,7 +1,5 @@
 #include "src/cc/mixed_controller.h"
 
-#include "src/runtime/apply.h"
-
 namespace objectbase::cc {
 
 const char* IntraPolicyName(IntraPolicy p) {
@@ -71,14 +69,9 @@ OpOutcome MixedController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
       LockManager::Request req;
       req.op = &op;
       req.args = args;
-      switch (locks_.Acquire(txn, obj, std::move(req))) {
-        case LockManager::Outcome::kGranted:
-          break;
-        case LockManager::Outcome::kDeadlock:
-          return OpOutcome::Abort(AbortReason::kDeadlock);
-        case LockManager::Outcome::kWounded:
-          return OpOutcome::Abort(AbortReason::kWounded);
-      }
+      const AbortReason denied =
+          AbortReasonOf(locks_.Acquire(txn, obj, std::move(req)));
+      if (denied != AbortReason::kNone) return OpOutcome::Abort(denied);
       return certifier_.ExecuteLocal(txn, obj, op, args);
     }
     case IntraPolicy::kTimestamp: {
@@ -88,22 +81,13 @@ OpOutcome MixedController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
       // real conflicts), and it runs before the apply latch is taken — so
       // the lock-free scan, which may miss an in-flight concurrent append,
       // is exactly as strong as the old mutex-guarded pre-scan was.
-      const std::vector<uint64_t>& chain = txn.AncestorChain();
       bool ts_reject = false;
-      {
-        rt::AppliedJournal::Scan scan(obj.journal());
-        scan.ForEachConflicting(
-            obj.ConflictRowFor(op.id), scan.end_pos(), /*exclusive=*/false,
-            [&](const rt::AppliedJournal::Entry& e) {
-              if (e.IsAborted()) return true;
-              if (!e.IncomparableWith(chain)) return true;
-              if (*e.hts > txn.hts()) {
-                ts_reject = true;
-                return false;
-              }
-              return true;
-            });
-      }
+      ForEachRival(obj, op, args, /*ret=*/nullptr, txn.AncestorChain(),
+                   kWholeWindow, /*exclusive=*/false,
+                   [&](const rt::AppliedJournal::Entry& e) {
+                     ts_reject = *e.hts > txn.hts();
+                     return !ts_reject;
+                   });
       if (ts_reject) {
         // Telemetry: the certifier below never sees this admission reject,
         // so charge the journal conflict here (relaxed, abort path only).

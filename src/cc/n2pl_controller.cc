@@ -1,7 +1,6 @@
 #include "src/cc/n2pl_controller.h"
 
 #include "src/runtime/apply.h"
-#include "src/runtime/wal.h"
 
 namespace objectbase::cc {
 
@@ -27,18 +26,11 @@ OpOutcome N2plController::ExecuteOperationMode(rt::TxnNode& txn,
   LockManager::Request req;
   req.op = &op;
   req.args = args;
-  switch (locks_.Acquire(txn, obj, std::move(req))) {
-    case LockManager::Outcome::kGranted:
-      break;
-    case LockManager::Outcome::kDeadlock:
-      return OpOutcome::Abort(AbortReason::kDeadlock);
-    case LockManager::Outcome::kWounded:
-      return OpOutcome::Abort(AbortReason::kWounded);
-  }
+  const AbortReason denied =
+      AbortReasonOf(locks_.Acquire(txn, obj, std::move(req)));
+  if (denied != AbortReason::kNone) return OpOutcome::Abort(denied);
   std::lock_guard<std::shared_mutex> g(obj.state_mu());
-  rt::AppliedOutcome out = rt::ApplyLocked(txn, obj, op, args, recorder_,
-                                           /*append_applied_log=*/false, wal_);
-  return OpOutcome::Ok(std::move(out.ret));
+  return OpOutcome::Ok(rt::ApplyLocked(txn, obj, op, args, recorder_, wal_));
 }
 
 OpOutcome N2plController::ExecuteStepMode(rt::TxnNode& txn, rt::Object& obj,
@@ -57,22 +49,13 @@ OpOutcome N2plController::ExecuteStepMode(rt::TxnNode& txn, rt::Object& obj,
     req.ret = provisional.ret;
     LockManager::TryOutcome attempt = locks_.TryAcquire(txn, obj, req);
     if (attempt == LockManager::TryOutcome::kGranted) {
-      // Keep the provisional effect; record it as the real step.  The
-      // per-object ticket (drawn under this exclusive latch) is the
-      // application-order key; the raw stamp is a leased draw.
-      const uint64_t order = obj.NextApplyStamp();
-      txn.PushUndo(rt::UndoRecord{order, &obj, std::move(provisional.undo)});
-      recorder_.RecordLocalStep(txn.exec_id, txn.NextPo(), obj.id(), op.id,
-                                args, provisional.ret, order,
-                                recorder_.NextSeq());
-      if (wal_ != nullptr) {
-        // Stage only ACCEPTED steps, inside state_mu (staging order per
-        // object = application order; denied provisionals leave no trace).
-        wal_->StageRedo(obj.id(), rt::WalWriter::kOrderByStagePos,
-                        txn.top()->uid(), txn.uid(), txn.ChainPtr(), op.id,
-                        args, provisional.ret);
-      }
-      return OpOutcome::Ok(std::move(provisional.ret));
+      // Keep the provisional effect as the real step.  The per-object
+      // ticket, drawn under this exclusive latch, is its application-order
+      // key; denied provisionals leave no trace.
+      return OpOutcome::Ok(rt::AcceptStep(txn, obj, op, args,
+                                          std::move(provisional),
+                                          obj.NextApplyStamp(),
+                                          /*journal_dep=*/0, recorder_, wal_));
     }
     // Undo the provisional effect before letting anyone else in.
     if (provisional.undo) provisional.undo(obj.state());
@@ -80,14 +63,9 @@ OpOutcome N2plController::ExecuteStepMode(rt::TxnNode& txn, rt::Object& obj,
     if (attempt == LockManager::TryOutcome::kWounded) {
       return OpOutcome::Abort(AbortReason::kWounded);
     }
-    switch (locks_.WaitWhileBlocked(txn, obj, req)) {
-      case LockManager::Outcome::kGranted:
-        break;
-      case LockManager::Outcome::kDeadlock:
-        return OpOutcome::Abort(AbortReason::kDeadlock);
-      case LockManager::Outcome::kWounded:
-        return OpOutcome::Abort(AbortReason::kWounded);
-    }
+    const AbortReason denied =
+        AbortReasonOf(locks_.WaitWhileBlocked(txn, obj, req));
+    if (denied != AbortReason::kNone) return OpOutcome::Abort(denied);
     // Lock table changed; retry the provisional execution (the return
     // value, and hence the required lock, may differ now).
   }
@@ -99,16 +77,7 @@ void N2plController::OnChildCommit(rt::TxnNode& child) {
 }
 
 bool N2plController::OnTopCommit(rt::TxnNode& top, AbortReason*) {
-  if (wal_ != nullptr) {
-    // Strict locking keeps the transaction's effects invisible until
-    // OnTopFinished releases its locks, so gating the acknowledgement here
-    // orders durability before visibility.  The commit-wait is declared in
-    // the waits-for graph (composite wait-state visibility, the PR-5
-    // certifier-wait pattern); the writer thread never blocks on locks, so
-    // the wait can never close a cycle.
-    wal_->WaitDurable(wal_->StageCommit(top.uid()), &locks_.waits_for(),
-                      ThisThreadKey());
-  }
+  CommitDurably(top, locks_.waits_for());
   return true;
 }
 

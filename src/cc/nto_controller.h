@@ -13,8 +13,11 @@
 //     issued operation a"; we keep the recent entries rather than only the
 //     max so that ancestor/descendant pairs — exempt from rule 1 — can be
 //     recognised);
-//   * kStep — provisional execution first, then conflict tests that see
-//     the return value.
+//   * kStep — conflict tests that see the return value.
+// Both execute the step provisionally first (under the object's exclusive
+// latch), scan, and undo it on a reject; the operation-granularity test
+// reads only the op-class row, so applying first does not change its
+// decision, and a rejected step is never recorded or published.
 //
 // Garbage collection (Section 5.2's "mechanism to forget"): entries whose
 // top-level serial number precedes every active transaction's are retired
@@ -28,47 +31,28 @@
 #ifndef OBJECTBASE_CC_NTO_CONTROLLER_H_
 #define OBJECTBASE_CC_NTO_CONTROLLER_H_
 
-#include "src/cc/controller.h"
-#include "src/cc/dependency_graph.h"
-
-namespace objectbase::rt {
-class Recorder;
-}  // namespace objectbase::rt
+#include "src/cc/optimistic_controller.h"
 
 namespace objectbase::cc {
 
-class NtoController : public Controller {
+class NtoController : public OptimisticController {
  public:
-  /// `fold_threshold` is the journal-GC cadence: fold once the journal
-  /// reaches it, every threshold/2 entries after.  0 disables folding —
-  /// tests use it to pin the zero-journal-mutex steady state.
+  /// `fold_threshold`: see OptimisticController.
   NtoController(rt::Recorder& recorder, Granularity granularity,
-                size_t fold_threshold = 64);
+                size_t fold_threshold = 64)
+      : OptimisticController(recorder, granularity, fold_threshold) {}
 
   const char* name() const override { return "NTO"; }
 
-  void OnTopBegin(rt::TxnNode& top) override;
   OpOutcome ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
                          const adt::OpDescriptor& op,
                          const Args& args) override;
-  void OnChildCommit(rt::TxnNode& child) override;
-  bool OnTopCommit(rt::TxnNode& top, AbortReason* reason) override;
-  void OnAbort(rt::TxnNode& node) override;
-  void OnTopFinished(rt::TxnNode& top) override;
-
-  bool SupportsPartialAbort() const override { return false; }
-  bool RollbackByRebuild() const override { return true; }
-
-  DependencyGraph& deps() { return deps_; }
+  /// Settled registry slots retire incrementally inside
+  /// MarkCommitted/MarkAborted; nothing else to collect.
+  void OnTopFinished(rt::TxnNode&) override {}
 
   /// Total remembered applied-step entries across `objects`.
   static size_t RememberedEntries(const std::vector<rt::Object*>& objects);
-
- private:
-  rt::Recorder& recorder_;
-  Granularity granularity_;
-  size_t fold_threshold_;
-  DependencyGraph deps_;
 };
 
 }  // namespace objectbase::cc

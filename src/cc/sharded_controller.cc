@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "src/cc/optimistic_controller.h"
 #include "src/runtime/object.h"
 #include "src/runtime/txn.h"
 #include "src/runtime/wal.h"
@@ -279,19 +280,6 @@ bool ShardedController::CommitCrossShard(rt::TxnNode& top, uint64_t touched,
   return true;
 }
 
-namespace {
-
-void CollectObjects(rt::TxnNode& node, std::vector<rt::Object*>& out) {
-  for (const rt::UndoRecord& u : node.undo_log()) {
-    if (std::find(out.begin(), out.end(), u.object) == out.end()) {
-      out.push_back(u.object);
-    }
-  }
-  for (auto& child : node.children()) CollectObjects(*child, out);
-}
-
-}  // namespace
-
 void ShardedController::OnAbort(rt::TxnNode& node) {
   // Lock release mirrors the per-kind inner semantics: N2PL/MIXED release
   // the subtree's locks on any abort; GEMSTONE's whole-object locks are
@@ -304,19 +292,12 @@ void ShardedController::OnAbort(rt::TxnNode& node) {
     // Rebuild each touched object against ITS shard's registry: the
     // object's journal entries carry that shard's DepRefs, and the doom
     // cascade must run where the successors' edges live.
-    std::vector<rt::Object*> touched;
-    CollectObjects(node, touched);
-    rt::TxnNode& top = *node.top();
-    for (rt::Object* obj : touched) {
-      DependencyGraph* deps = shards_[obj->shard()].deps;
-      const DepRef top_ref =
-          DepRef::FromRaw(top.dep_handle_for(obj->shard()));
-      obj->AbortEntriesAndRebuild(
-          node.uid(), [&] { deps->DoomSuccessorsTransitively(top_ref); },
-          [&](uint64_t dep_raw) {
-            return deps->IsDoomed(DepRef::FromRaw(dep_raw));
-          });
-    }
+    const rt::TxnNode& top = *node.top();
+    RebuildAbort(node, [&](const rt::Object& obj) {
+      return std::pair<DependencyGraph*, DepRef>(
+          shards_[obj.shard()].deps,
+          DepRef::FromRaw(top.dep_handle_for(obj.shard())));
+    });
   }
   if (node.parent() == nullptr && shards_[0].deps != nullptr) {
     for (uint32_t s = 0; s < num_shards(); ++s) {

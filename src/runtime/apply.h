@@ -1,17 +1,23 @@
-// ApplyLocked: the one place a local operation touches an object's state.
+// AcceptStep: the one place an admitted local step is accepted and recorded.
 //
-// Callers (the protocol controllers) must have completed protocol admission
-// (locks granted / timestamps validated) and must hold the object's apply
-// serialisation unless the spec supports concurrent application.  The helper
-// applies the state transformer, pushes the undo record onto the issuing
-// execution's undo log (Section 3 Abort semantics), mirrors the step into
-// the recorder (inside the same critical section, so the recorded
-// application order is the real one) and appends the applied-step entry the
-// timestamp/certification protocols scan.
+// The protocols differ only in how they ADMIT a step — a lock grant
+// (N2PL, GEMSTONE, MIXED's local-2pl objects), NTO's rule-1 timestamp
+// scan, the certifier's publish-then-scan.  Once admitted, every protocol
+// does the same thing with it, and does it here: the step's undo record
+// joins the issuing execution's undo log (Section 3 Abort semantics), the
+// step with its return value joins the object's local history in the
+// recorder, the journal entry the timestamp/certification protocols scan
+// is published, and the WAL redo record is staged.  Callers hold the
+// object's apply serialisation, so all of it happens inside the same
+// critical section as the apply and every order key below is the true
+// per-object application order.
+//
+// ApplyLocked is apply-then-accept for the protocols that admit before
+// applying (the lock holders: N2PL operation mode, GEMSTONE).
 #ifndef OBJECTBASE_RUNTIME_APPLY_H_
 #define OBJECTBASE_RUNTIME_APPLY_H_
 
-#include <string>
+#include <utility>
 
 #include "src/runtime/object.h"
 #include "src/runtime/recorder.h"
@@ -20,56 +26,39 @@
 
 namespace objectbase::rt {
 
-struct AppliedOutcome {
-  Value ret;
-  uint64_t seq = 0;
-};
-
-/// Applies `op` and records everything.  `append_applied_log` is set by the
-/// protocols that scan object logs (NTO/CERT/MIXED); N2PL and Gemstone skip
-/// it (their lock tables carry the information).  A non-null `wal` stages a
-/// redo record inside the same critical section (write-ahead durability;
-/// the order key is the journal position when one exists, the staging
-/// position otherwise — either is the true per-object application order).
+/// Accepts the already-applied step `applied` of `op(args)` by `txn` on
+/// `obj` and returns its return value.
 ///
-/// Order keys: the per-object application order — the exact part of the
-/// formal < relation — is the journal position for journaled protocols and
-/// the object's apply-stamp ticket otherwise, both drawn inside this apply
-/// critical section.  The key orders this object's undo records (the abort
-/// path undoes one object's steps newest-first; different objects' undos
-/// commute — disjoint states) and is what Snapshot() merges by.  The raw
-/// recorder stamp (one leased draw, no global RMW) only tie-breaks the
-/// cross-object merge.
-inline AppliedOutcome ApplyLocked(TxnNode& txn, Object& obj,
-                                  const adt::OpDescriptor& op,
-                                  const Args& args, Recorder& recorder,
-                                  bool append_applied_log,
-                                  WalWriter* wal = nullptr,
-                                  uint64_t dep_raw = 0) {
-  adt::ApplyResult applied = op.apply(obj.state(), args);
+/// Order keys: `order` is the per-object application order — the exact
+/// part of the formal < relation.  The journaled protocols (NTO, CERT,
+/// MIXED) pass the journal position this thread reserved for the step
+/// together with the top's packed registry handle `journal_dep` (a valid
+/// cc::DepRef, never 0); the entry is then published at that position and
+/// the redo record keyed by it.  The others (N2PL, GEMSTONE) pass the
+/// object's apply-stamp ticket (Object::NextApplyStamp) and
+/// `journal_dep = 0`: nothing is journaled and the redo record is keyed by
+/// its staging position.  The key orders this object's undo records (the
+/// abort path undoes one object's steps newest-first; different objects'
+/// undos commute — disjoint states) and is what Recorder::Snapshot merges
+/// by; the raw recorder stamp (one leased draw, no global RMW) only
+/// tie-breaks the cross-object merge.  A null `wal` stages nothing.
+inline Value AcceptStep(TxnNode& txn, Object& obj, const adt::OpDescriptor& op,
+                        const Args& args, adt::ApplyResult&& applied,
+                        uint64_t order, uint64_t journal_dep,
+                        Recorder& recorder, WalWriter* wal) {
   const uint64_t raw = recorder.NextSeq();  // leased; 0 when not recording
-  uint64_t pos = WalWriter::kOrderByStagePos;
-  uint64_t order;
-  if (append_applied_log) {
-    // Lock-free: reserve-and-publish inside this apply critical section
-    // (the caller holds the object's apply serialisation), so the journal
-    // position order is the application order.
+  if (journal_dep != 0) {
     JournalRecord entry;
     entry.seq = raw;
     entry.exec_uid = txn.uid();
     entry.top_uid = txn.top()->uid();
-    // `dep_raw` lets a shard-bound caller pass its per-shard registry
-    // handle; 0 falls back to the classic single-registry handle.
-    entry.dep = dep_raw != 0 ? dep_raw : txn.top()->dep_handle();
+    entry.dep = journal_dep;
     entry.chain = txn.ChainPtr();
     entry.hts = txn.HtsSnapshot();
     entry.op_id = op.id;
     entry.args = args;
     entry.ret = applied.ret;
-    pos = obj.journal().Append(std::move(entry));
-    order = pos;
-  } else {
-    order = obj.NextApplyStamp();
+    obj.journal().PublishAt(order, std::move(entry));
   }
   // Read-only steps get an (empty) undo record too: the abort path uses the
   // log to know which objects the execution touched.
@@ -77,10 +66,21 @@ inline AppliedOutcome ApplyLocked(TxnNode& txn, Object& obj,
   recorder.RecordLocalStep(txn.exec_id, txn.NextPo(), obj.id(), op.id, args,
                            applied.ret, order, raw);
   if (wal != nullptr) {
-    wal->StageRedo(obj.id(), pos, txn.top()->uid(), txn.uid(), txn.ChainPtr(),
-                   op.id, args, applied.ret);
+    wal->StageRedo(obj.id(),
+                   journal_dep != 0 ? order : WalWriter::kOrderByStagePos,
+                   txn.top()->uid(), txn.uid(), txn.ChainPtr(), op.id, args,
+                   applied.ret);
   }
-  return AppliedOutcome{std::move(applied.ret), order};
+  return std::move(applied.ret);
+}
+
+/// Applies `op` and accepts it (non-journaled, apply-stamp order).  The
+/// caller has completed admission and holds the object's exclusive latch.
+inline Value ApplyLocked(TxnNode& txn, Object& obj, const adt::OpDescriptor& op,
+                         const Args& args, Recorder& recorder, WalWriter* wal) {
+  adt::ApplyResult applied = op.apply(obj.state(), args);
+  return AcceptStep(txn, obj, op, args, std::move(applied),
+                    obj.NextApplyStamp(), /*journal_dep=*/0, recorder, wal);
 }
 
 }  // namespace objectbase::rt

@@ -129,11 +129,8 @@ Executor::Executor(ObjectBase& base, ExecutorOptions options)
         // Per-shard logs (shard 0 keeps the configured path, so shards=1
         // stays file-compatible).  Attach AFTER ShareWaitsForGraph: MIXED
         // routes durability waits into its manager's CURRENT graph.
-        shard_wals_.push_back(std::make_unique<WalWriter>(WalOptions{
-            ShardWalPath(options_.wal_path, s), options_.durability,
-            options_.wal_group_window_us, /*ring_capacity=*/size_t{1} << 14}));
-        b.controller->AttachWal(shard_wals_.back().get());
-        sh.wal = shard_wals_.back().get();
+        sh.wal = OpenShardWal(s);
+        b.controller->AttachWal(sh.wal);
       }
       sh.cert = b.cert;
       sh.deps = b.deps;
@@ -150,12 +147,7 @@ Executor::Executor(ObjectBase& base, ExecutorOptions options)
     mixed_ = b.mixed;
     lock_manager_ = b.locks;
     controller_ = std::move(b.controller);
-    if (durable) {
-      wal_ = std::make_unique<WalWriter>(WalOptions{
-          options_.wal_path, options_.durability, options_.wal_group_window_us,
-          /*ring_capacity=*/size_t{1} << 14});
-      controller_->AttachWal(wal_.get());
-    }
+    if (durable) controller_->AttachWal(OpenShardWal(0));
   }
   supports_partial_abort_ = controller_->SupportsPartialAbort();
   method_tables_.resize(base_.size());
@@ -164,13 +156,19 @@ Executor::Executor(ObjectBase& base, ExecutorOptions options)
 
 Executor::~Executor() = default;
 
+WalWriter* Executor::OpenShardWal(uint32_t shard) {
+  shard_wals_.push_back(std::make_unique<WalWriter>(
+      WalOptions{ShardWalPath(options_.wal_path, shard),
+                 options_.wal_group_window_us,
+                 /*ring_capacity=*/size_t{1} << 14}));
+  return shard_wals_.back().get();
+}
+
 WalRecoveryResult Executor::Recover(const std::string& log_path) {
-  // A sharded base recovers from the matching family of per-shard logs
-  // (the cross-log atomicity rule lives in RecoverShardedWalInto).
+  // The matching family of per-shard logs (one log on a one-shard base;
+  // the cross-log atomicity rule lives in RecoverShardedWalInto).
   WalRecoveryResult result =
-      base_.num_shards() > 1
-          ? RecoverShardedWalInto(log_path, base_.num_shards(), base_)
-          : RecoverWalInto(log_path, base_);
+      RecoverShardedWalInto(log_path, base_.num_shards(), base_);
   // Re-snapshot initial states so recorded histories (and their oracles)
   // start from the recovered baseline.
   recorder_.Reset(base_);
@@ -431,10 +429,8 @@ void Executor::AbortSubtree(TxnNode& node, cc::AbortReason reason) {
     // — before the aborting child's parent can resume — so the abort
     // marker always precedes the top's commit marker in the log.
     // Top-level aborts need no marker: a commit record for that attempt's
-    // uid can never exist.  Sharded: staged on every shard's log (abort
-    // markers on logs the subtree never wrote to are harmless no-ops at
-    // recovery).
-    if (wal_ != nullptr) wal_->StageAbort(node.uid());
+    // uid can never exist.  Staged on every shard's log (abort markers on
+    // logs the subtree never wrote to are harmless no-ops at recovery).
     for (auto& w : shard_wals_) w->StageAbort(node.uid());
   }
   if (controller_->RollbackByRebuild()) {

@@ -91,16 +91,17 @@ struct ExecutorOptions {
   /// wound younger holders (kWoundWait).
   /// See cc::ContentionPolicy.
   cc::ContentionPolicy contention_policy = cc::ContentionPolicy::kDetect;
-  /// Write-ahead durability (docs/durability.md).  kGroup/kPerCommit
-  /// require `wal_path`; kNone creates no WAL at all — the step and commit
-  /// paths are byte-for-byte the PR-5 behaviour.
+  /// Write-ahead durability (docs/durability.md).  kGroup requires
+  /// `wal_path`; kNone creates no WAL at all — the step and commit paths
+  /// stage nothing and wait for nothing.
   Durability durability = Durability::kNone;
   /// Redo-log file, opened (TRUNCATED) at executor construction.  To
   /// recover a previous run's log, build the executor with a different
   /// path (or durability = kNone) and call Recover(old_path) first.
   std::string wal_path;
   /// kGroup accumulation window (µs): commits arriving within the window
-  /// share one fsync (latency traded for sync amortisation).
+  /// share one fsync (latency traded for sync amortisation); 0 syncs every
+  /// commit immediately.
   uint32_t wal_group_window_us = 100;
 };
 
@@ -236,25 +237,23 @@ class Executor {
   ObjectBase& base() { return base_; }
   const ExecutorOptions& options() const { return options_; }
 
-  /// The write-ahead log, or nullptr when durability == kNone.  Under a
-  /// sharded topology, shard 0's log (whose path is the configured
-  /// wal_path; see ShardWalPath).
-  WalWriter* wal() {
-    if (wal_ != nullptr) return wal_.get();
-    return shard_wals_.empty() ? nullptr : shard_wals_[0].get();
-  }
+  /// The write-ahead log, or nullptr when durability == kNone: shard 0's
+  /// log, whose path is the configured wal_path (see ShardWalPath) — the
+  /// only log of a one-shard base.
+  WalWriter* wal() { return shard_wal(0); }
 
-  /// Shard `s`'s write-ahead log (sharded topologies), or nullptr.
+  /// Shard `s`'s write-ahead log, or nullptr.
   WalWriter* shard_wal(uint32_t s) {
     return s < shard_wals_.size() ? shard_wals_[s].get() : nullptr;
   }
 
   /// Restart recovery: replays the committed transactions of `log_path`
-  /// into this executor's object base (RecoverWalInto) and re-snapshots
-  /// the recorder's initial states.  Call on a freshly-constructed,
-  /// quiescent executor whose own wal_path differs from `log_path` (the
-  /// constructor truncates its log file).  The base must be populated
-  /// exactly as it was at the start of the crashed run.
+  /// (and, on a sharded base, its per-shard siblings) into this executor's
+  /// object base (RecoverShardedWalInto) and re-snapshots the recorder's
+  /// initial states.  Call on a freshly-constructed, quiescent executor
+  /// whose own wal_path differs from `log_path` (the constructor truncates
+  /// its log file).  The base must be populated exactly as it was at the
+  /// start of the crashed run.
   WalRecoveryResult Recover(const std::string& log_path);
 
   struct Stats {
@@ -312,6 +311,9 @@ class Executor {
 
   MethodRef ResolveOnObject(Object& obj, std::string_view method);
 
+  /// Opens shard `shard`'s log (ShardWalPath of wal_path) into shard_wals_.
+  WalWriter* OpenShardWal(uint32_t shard);
+
   /// Stable storage for names of methods that resolve to nothing (the
   /// aborting child still needs a name); touched only on that error path.
   const std::string& InternName(std::string_view name);
@@ -328,12 +330,10 @@ class Executor {
   // managers that point at it.
   std::unique_ptr<cc::WaitsForGraph> shared_wfg_;
   std::unique_ptr<cc::Controller> controller_;
-  // Declared after controller_ (destroyed first): the writer drains and
-  // stops while the controller — which only holds a raw pointer — is
-  // still alive.  Null iff durability == kNone.
-  std::unique_ptr<WalWriter> wal_;
-  // Sharded wiring: one WAL per shard (wal_ stays null); same destruction
-  // ordering rationale as wal_.
+  // One WAL per shard (shard 0's at wal_path; empty iff durability ==
+  // kNone).  Declared after controller_ (destroyed first): the writers
+  // drain and stop while the controllers — which only hold raw pointers —
+  // are still alive.
   std::vector<std::unique_ptr<WalWriter>> shard_wals_;
   cc::MixedController* mixed_ = nullptr;  // non-null iff protocol == kMixed
   cc::LockManager* lock_manager_ = nullptr;  // non-null for locking protocols

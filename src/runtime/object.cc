@@ -45,13 +45,6 @@ void Object::CacheLockTable(uint64_t manager_id, void* table) {
   }
 }
 
-void Object::ResetState() {
-  state_ = spec_->MakeInitialState();
-  base_state_ = spec_->MakeInitialState();
-  apply_stamp_.store(0, std::memory_order_relaxed);
-  journal_->Reset();
-}
-
 void Object::AbortEntriesAndRebuild(
     uint64_t subtree_root_uid, const std::function<void()>& doom_dependents,
     const std::function<bool(uint64_t dep_raw)>& exclude_dep) {

@@ -66,10 +66,6 @@ class Object {
   adt::AdtState& state() { return *state_; }
   const adt::AdtState& state() const { return *state_; }
 
-  /// Resets the state to a fresh initial state (between workload runs).
-  /// Requires quiescence (no running transactions).
-  void ResetState();
-
   /// The per-object apply latch.  Held EXCLUSIVE around apply for every
   /// spec that does not support concurrent application, and for ops the
   /// spec marked exclusive_apply (non-linearizable scans).  Concurrent-

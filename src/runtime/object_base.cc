@@ -24,8 +24,4 @@ Object* ObjectBase::Find(const std::string& name) {
   return objects_[it->second].get();
 }
 
-void ObjectBase::ResetAll() {
-  for (auto& o : objects_) o->ResetState();
-}
-
 }  // namespace objectbase::rt

@@ -40,9 +40,6 @@ class ObjectBase {
   /// single-controller wiring and the sharded topology.
   uint32_t num_shards() const { return num_shards_; }
 
-  /// Resets every object to its initial state (between benchmark runs).
-  void ResetAll();
-
   /// The environment's serial number for a new top-level transaction (the
   /// first hts component, Section 5.2) and the uid of a new method
   /// execution.  Both count per base, not per Executor: the objects'

@@ -1,6 +1,7 @@
 #include "src/runtime/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,15 +17,6 @@
 #include "src/runtime/object_base.h"
 
 namespace objectbase::rt {
-
-const char* DurabilityName(Durability d) {
-  switch (d) {
-    case Durability::kNone: return "none";
-    case Durability::kGroup: return "group";
-    case Durability::kPerCommit: return "per_commit";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -177,21 +169,38 @@ bool DecodeRecord(Cursor& c, WalRecord* out) {
 }  // namespace
 
 uint32_t WalCrc32(const uint8_t* data, size_t n) {
-  // IEEE 802.3 reflected polynomial, table generated once.
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  // IEEE 802.3 reflected polynomial, slicing-by-8: t[k][b] is byte b's CRC
+  // advanced k more zero bytes, so one step folds eight input bytes (every
+  // logged byte is checksummed on write and again on recovery).  Tables
+  // generated once.
+  static const auto t = [] {
+    std::array<std::array<uint32_t, 256>, 8> tab{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tab[0][i] = c;
     }
-    return t;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        tab[k][i] = (tab[k - 1][i] >> 8) ^ tab[0][tab[k - 1][i] & 0xFFu];
+      }
+    }
+    return tab;
   }();
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    uint8_t b[8];
+    memcpy(b, data, 8);
+    const uint32_t lo = crc ^ (uint32_t{b[0]} | uint32_t{b[1]} << 8 |
+                               uint32_t{b[2]} << 16 | uint32_t{b[3]} << 24);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][b[4]] ^
+          t[2][b[5]] ^ t[1][b[6]] ^ t[0][b[7]];
+  }
+  for (; n > 0; ++data, --n) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -308,8 +317,7 @@ void WalWriter::WriterLoop() {
     const bool stopping = stop_;
     if (reserved_.load(std::memory_order_relaxed) != drained_) {
       lk.unlock();
-      if (!stopping && options_.durability == Durability::kGroup &&
-          options_.group_window_us > 0) {
+      if (!stopping && options_.group_window_us > 0) {
         // Group-commit accumulation window: commits arriving while we
         // sleep (and while the sync below runs) share one fsync.
         std::this_thread::sleep_for(
@@ -395,6 +403,10 @@ WalScanResult ScanWal(const std::string& path) {
   FILE* f = ::fopen(path.c_str(), "rb");
   if (f == nullptr) return result;
   std::vector<uint8_t> bytes;
+  struct stat st;
+  if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0) {
+    bytes.reserve(static_cast<size_t>(st.st_size));  // one buffer, no regrowth
+  }
   uint8_t chunk[1 << 16];
   size_t got;
   while ((got = ::fread(chunk, 1, sizeof(chunk), f)) > 0) {
@@ -418,21 +430,24 @@ WalScanResult ScanWal(const std::string& path) {
     if (bytes.size() - off - kFrameHeaderBytes < len) break;
     const uint8_t* payload = bytes.data() + off + kFrameHeaderBytes;
     if (WalCrc32(payload, len) != crc) break;
-    // Decode the frame's records; a decode overrun (impossible without a
-    // CRC collision, but checked anyway) also ends the prefix.
+    // Decode the frame's records in place; a decode overrun (impossible
+    // without a CRC collision, but checked anyway) drops the whole frame and
+    // also ends the prefix.
     Cursor c{payload, len};
-    std::vector<WalRecord> frame_records;
+    const size_t frame_begin = result.records.size();
     bool decode_ok = true;
     while (c.off < c.n) {
-      WalRecord r;
-      if (!DecodeRecord(c, &r)) {
+      if (!DecodeRecord(c, &result.records.emplace_back())) {
         decode_ok = false;
         break;
       }
-      frame_records.push_back(std::move(r));
     }
-    if (!decode_ok) break;
-    for (WalRecord& r : frame_records) {
+    if (!decode_ok) {
+      result.records.resize(frame_begin);
+      break;
+    }
+    for (size_t i = frame_begin; i < result.records.size(); ++i) {
+      const WalRecord& r = result.records[i];
       switch (r.kind) {
         case WalRecordKind::kCommit:
           result.committed_tops.push_back(r.top_uid);
@@ -443,7 +458,6 @@ WalScanResult ScanWal(const std::string& path) {
         case WalRecordKind::kRedo:
           break;
       }
-      result.records.push_back(std::move(r));
     }
     off += kFrameHeaderBytes + len;
     result.frames += 1;
@@ -455,10 +469,9 @@ WalScanResult ScanWal(const std::string& path) {
 
 namespace {
 
-// The replay half shared by single-log and sharded recovery: partitions
-// `scan`'s surviving redo records per object and replays them onto `base`,
-// accumulating counters into `result`.  The caller decides which tops are
-// committed — that is the only part that differs across the topologies.
+// Replays one log: partitions `scan`'s surviving redo records per object
+// and replays them onto `base`, accumulating counters into `result`.  The
+// caller decides, across every log, which tops are committed.
 void ReplayScan(const WalScanResult& scan,
                 const std::unordered_set<uint64_t>& committed,
                 const std::unordered_set<uint64_t>& aborted, ObjectBase& base,
@@ -519,24 +532,6 @@ void ReplayScan(const WalScanResult& scan,
 
 }  // namespace
 
-WalRecoveryResult RecoverWalInto(const std::string& path, ObjectBase& base) {
-  WalRecoveryResult result;
-  WalScanResult scan = ScanWal(path);
-  result.ok = scan.ok;
-  result.torn = scan.torn;
-  result.valid_bytes = scan.valid_bytes;
-  result.frames = scan.frames;
-  if (!scan.ok) return result;
-
-  const std::unordered_set<uint64_t> committed(scan.committed_tops.begin(),
-                                               scan.committed_tops.end());
-  const std::unordered_set<uint64_t> aborted(scan.aborted_subtrees.begin(),
-                                             scan.aborted_subtrees.end());
-  result.committed_tops = committed.size();
-  ReplayScan(scan, committed, aborted, base, result);
-  return result;
-}
-
 std::string ShardWalPath(const std::string& base_path, uint32_t shard) {
   if (shard == 0) return base_path;
   return base_path + ".s" + std::to_string(shard);
@@ -574,10 +569,10 @@ WalRecoveryResult RecoverShardedWalInto(const std::string& base_path,
   for (uint32_t s = 0; s < num_shards; ++s) {
     for (const WalRecord& r : scans[s].records) {
       if (r.kind != WalRecordKind::kCommit) continue;
-      present[s].insert(r.top_uid);
       if (r.order_key == 0) {
         committed.insert(r.top_uid);
       } else {
+        present[s].insert(r.top_uid);  // only masked markers are looked up
         mask_of[r.top_uid] |= r.order_key;
       }
     }

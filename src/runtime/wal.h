@@ -23,12 +23,12 @@
 //     published after fsync, no transaction in a dropped frame was ever
 //     acknowledged.
 //
-//   * Recovery — ScanWal decodes the valid prefix; RecoverWalInto replays
-//     the redo records of committed top-level transactions (minus aborted
-//     subtrees: a kAbort record excises every redo whose ancestor chain
-//     contains the aborted uid) per object in journal-position order onto a
-//     freshly-initialised ObjectBase, re-checking each recorded return
-//     value (step-level legality).  See docs/durability.md for the
+//   * Recovery — ScanWal decodes the valid prefix; RecoverShardedWalInto
+//     replays the redo records of committed top-level transactions (minus
+//     aborted subtrees: a kAbort record excises every redo whose ancestor
+//     chain contains the aborted uid) per object in journal-position order
+//     onto a freshly-initialised ObjectBase, re-checking each recorded
+//     return value (step-level legality).  See docs/durability.md for the
 //     soundness argument.
 //
 // Watermark soundness (why acknowledged implies consistent): a controller
@@ -62,19 +62,17 @@ namespace objectbase::rt {
 class ObjectBase;
 
 /// When commit acknowledgement returns to the application.
+/// An immediate sync per commit is kGroup with a zero accumulation window.
 enum class Durability {
-  kNone,       ///< No logging at all (the PR-5 behaviour; zero overhead).
-  kGroup,      ///< Ack after the batched group sync covering the commit.
-  kPerCommit,  ///< Ack after an immediate sync (no accumulation window).
+  kNone,   ///< No logging at all (zero overhead).
+  kGroup,  ///< Ack after the batched group sync covering the commit.
 };
-
-const char* DurabilityName(Durability d);
 
 struct WalOptions {
   std::string path;
-  Durability durability = Durability::kGroup;
-  /// kGroup: accumulation window before each batch sync — larger windows
-  /// amortise fsync over more commits at the cost of commit latency.
+  /// Accumulation window before each batch sync — larger windows amortise
+  /// fsync over more commits at the cost of commit latency; 0 syncs each
+  /// drain immediately.
   uint32_t group_window_us = 100;
   /// Staging ring capacity (power of two).  Producers that outrun the
   /// writer by a full ring spin (bounded-memory backpressure).
@@ -252,31 +250,30 @@ struct WalRecoveryResult {
   size_t ret_mismatches = 0;        ///< Replayed ret != recorded ret.
 };
 
-/// Replays the committed transactions of the log onto `base`, which must be
-/// constructed exactly as it was at the start of the crashed run (same
-/// objects, same initial states).  Per object, surviving redo records are
-/// applied in order_key order; each recorded return value is re-checked
-/// (ret_mismatches stays 0 iff the replay is step-level legal).  Touched
-/// objects get their base state resynchronised (Object::SealRecoveredState),
-/// so the rebuild/fold machinery starts from the recovered state.
-WalRecoveryResult RecoverWalInto(const std::string& path, ObjectBase& base);
-
 /// Log path of shard `shard` under base path `base_path`: the base path
-/// itself for shard 0, `<base_path>.s<k>` otherwise — shard 0's log is the
-/// classic single log, so shards=1 topologies are file-compatible with
-/// unsharded runs.
+/// itself for shard 0, `<base_path>.s<k>` otherwise — a one-shard base
+/// logs to `base_path` alone.
 std::string ShardWalPath(const std::string& base_path, uint32_t shard);
 
-/// Sharded recovery: scans every shard's log and replays onto `base`.
+/// Recovery: scans the log of each of the `num_shards` shards under
+/// `base_path` (ShardWalPath) and replays the committed transactions onto
+/// `base`, which must be constructed exactly as it was at the start of the
+/// crashed run (same objects, same initial states).
 /// A top-level transaction counts as committed iff
-///   * some log holds its marker with mask 0 (single-shard commit), or
+///   * some log holds its marker with mask 0 (single-shard commit; the only
+///     kind a one-shard base writes), or
 ///   * for a masked marker, EVERY log named by the mask holds its marker
 ///     (a crash between the per-shard marker syncs of a cross-shard commit
 ///     must not surface a partial commit).
 /// Aborted subtrees are the union over logs.  Redos replay per log
 /// independently: objects are partitioned, so each object's redo records
-/// live in exactly one shard's log and per-log order_key order is the true
-/// per-object application order.  Aggregates the per-log counters.
+/// live in exactly one shard's log.  Per object, surviving redo records are
+/// applied in order_key order (the true per-object application order); each
+/// recorded return value is re-checked (ret_mismatches stays 0 iff the
+/// replay is step-level legal).  Touched objects get their base state
+/// resynchronised (Object::SealRecoveredState), so the rebuild/fold
+/// machinery starts from the recovered state.  Aggregates the per-log
+/// counters.
 WalRecoveryResult RecoverShardedWalInto(const std::string& base_path,
                                         uint32_t num_shards, ObjectBase& base);
 

@@ -2,10 +2,10 @@
 //
 // Each round forks a child process that runs a contended durable banking
 // workload (transfers + a unique tag inserted per successful transfer,
-// durability=group or per_commit, protocol rotated across all five).  The
-// child appends each ACKNOWLEDGED transfer's tag to a per-thread ack file
-// with a raw write() AFTER RunTransaction returns committed — i.e. after
-// the commit gate's WaitDurable.  The parent SIGKILLs the child at a
+// group commit with a 0/50/200 µs window, protocol rotated across all
+// five).  The child appends each ACKNOWLEDGED transfer's tag to a
+// per-thread ack file with a raw write() AFTER RunTransaction returns
+// committed — i.e. after the commit gate's WaitDurable.  The parent SIGKILLs the child at a
 // randomised point (spreads from ~2ms to ~64ms, covering "no log yet",
 // "mid-frame", and "finished"), then recovers the log into an identically
 // initialised base and asserts the durability contract:
@@ -87,7 +87,6 @@ void BuildBase(ObjectBase& base) {
 
 struct RoundConfig {
   Protocol protocol = Protocol::kNto;
-  Durability durability = Durability::kGroup;
   uint32_t group_window_us = 100;
   uint64_t child_seed = 0;
 };
@@ -103,7 +102,7 @@ void ChildWorkload(const std::string& wal_path, const std::string& ack_prefix,
   ExecutorOptions opts;
   opts.protocol = cfg.protocol;
   opts.record = false;
-  opts.durability = cfg.durability;
+  opts.durability = Durability::kGroup;
   opts.wal_path = wal_path;
   opts.wal_group_window_us = cfg.group_window_us;
   Executor exec(base, opts);
@@ -245,10 +244,12 @@ void RunCrashRound(uint64_t seed, int round, HarnessTotals& totals) {
                                 Protocol::kMixed};
   RoundConfig cfg;
   cfg.protocol = protocols[rng.Uniform(5)];
-  cfg.durability =
-      rng.Bernoulli(0.2) ? Durability::kPerCommit : Durability::kGroup;
+  // A fifth of the rounds sync every commit at once (window 0); the
+  // draw order is fixed so a pinned seed replays the same rounds.
+  const bool immediate_sync = rng.Bernoulli(0.2);
   const uint32_t windows[] = {0, 50, 200};
-  cfg.group_window_us = windows[rng.Uniform(3)];
+  const uint32_t window_us = windows[rng.Uniform(3)];
+  cfg.group_window_us = immediate_sync ? 0 : window_us;
   cfg.child_seed = rng.NextU64();
   // Kill spreads from ~2ms to ~64ms: early kills exercise "no/short log",
   // late ones "deep log / finished child".
@@ -256,7 +257,6 @@ void RunCrashRound(uint64_t seed, int round, HarnessTotals& totals) {
   const uint64_t kill_after_us = 200 + rng.Uniform(spread_us);
   SCOPED_TRACE("round=" + std::to_string(round) +
                " protocol=" + ProtocolName(cfg.protocol) +
-               " durability=" + DurabilityName(cfg.durability) +
                " window_us=" + std::to_string(cfg.group_window_us) +
                " kill_after_us=" + std::to_string(kill_after_us));
 

@@ -2,6 +2,10 @@
 // timestamp-specific behaviours: rule-1 rejections, watermark GC.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <string>
+
 #include "src/cc/nto_controller.h"
 #include "tests/protocol_harness.h"
 
@@ -68,6 +72,83 @@ TEST(NtoProtocolTest, LateConflictingStepIsRejected) {
   late.join();
   EXPECT_GE(exec.stats().AbortsFor(cc::AbortReason::kTimestampOrder), 1u);
   VerifyHistory(exec, "NTO late-step scenario");
+}
+
+// Operation granularity applies the step before its rule-1 scan and undoes
+// it on a reject.  The rejected attempt must leave no trace: not in the
+// state, the recorded history, the journal or the durable log.
+TEST(NtoProtocolTest, RejectedOperationModeStepLeavesNoTrace) {
+  const std::string wal =
+      ::testing::TempDir() + "/objectbase_nto_rejected_op_step.log";
+  ObjectBase base;
+  base.CreateObject("c", adt::MakeCounterSpec(0));
+  Object& counter = base.Get(0);
+  auto local_steps = [](const model::History& h) {
+    size_t n = 0;
+    for (const model::Step& s : h.steps) {
+      n += s.kind == model::StepKind::kLocal ? 1 : 0;
+    }
+    return n;
+  };
+  {
+    Executor exec(base, {.protocol = kP,
+                         .granularity = cc::Granularity::kOperation,
+                         .durability = Durability::kGroup,
+                         .wal_path = wal,
+                         .wal_group_window_us = 0});
+    std::atomic<int> phase{0};
+    TxnResult late_result;
+    std::thread late([&]() {
+      // The smaller timestamp, issued after the larger one's get: rule 1
+      // rejects this add (get and add conflict).
+      late_result = exec.RunTransactionOnce("late", [&](MethodCtx& txn) {
+        phase.store(1);
+        while (phase.load() != 2) std::this_thread::yield();
+        txn.Invoke("c", "add", {5});
+        return Value();
+      });
+    });
+    while (phase.load() != 1) std::this_thread::yield();
+    ASSERT_TRUE(exec.RunTransaction("early", [](MethodCtx& txn) {
+                      txn.Invoke("c", "add", {2});
+                      return txn.Invoke("c", "get");
+                    }).committed);
+    const std::unique_ptr<adt::AdtState> before = counter.state().Clone();
+    const size_t steps_before = local_steps(exec.recorder().Snapshot());
+    const size_t journal_before = counter.applied_log_size();
+    phase.store(2);
+    late.join();
+    EXPECT_FALSE(late_result.committed);
+    EXPECT_EQ(late_result.last_abort, cc::AbortReason::kTimestampOrder);
+    EXPECT_TRUE(counter.state().Equals(*before))
+        << counter.state().ToString() << " vs " << before->ToString();
+    model::History h = exec.recorder().Snapshot();
+    EXPECT_EQ(local_steps(h), steps_before);
+    EXPECT_EQ(counter.applied_log_size(), journal_before);
+    model::LegalityResult legal =
+        model::CheckLegal(h, /*committed_only=*/false);
+    EXPECT_TRUE(legal.legal) << legal.error;
+
+    // A retry with a fresh, larger timestamp commits.
+    ASSERT_TRUE(exec.RunTransaction("late", [](MethodCtx& txn) {
+                      txn.Invoke("c", "add", {5});
+                      return Value();
+                    }).committed);
+    VerifyHistory(exec, "NTO rejected operation-mode step");
+  }
+  // The log holds no redo of the rejected attempt, and recovery rebuilds
+  // the live state.
+  ObjectBase fresh;
+  fresh.CreateObject("c", adt::MakeCounterSpec(0));
+  Executor recovered(fresh, {.protocol = kP});
+  WalRecoveryResult r = recovered.Recover(wal);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.skipped_uncommitted, 0u);
+  EXPECT_EQ(r.ret_mismatches, 0u);
+  EXPECT_TRUE(fresh.Get(0).state().Equals(counter.state()))
+      << fresh.Get(0).state().ToString() << " vs live "
+      << counter.state().ToString();
+  std::remove(wal.c_str());
 }
 
 TEST(NtoProtocolTest, WatermarkGcBoundsRememberedSteps) {

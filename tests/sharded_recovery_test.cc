@@ -60,8 +60,9 @@ TEST(ShardedRecovery, CleanShardedRunRecoversOnFreshBase) {
     BuildTwoCounters(base);
     Executor exec(base, {.protocol = Protocol::kNto,
                          .record = false,
-                         .durability = Durability::kPerCommit,
-                         .wal_path = wal});
+                         .durability = Durability::kGroup,
+                         .wal_path = wal,
+                         .wal_group_window_us = 0});
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(exec.RunTransaction("ta", [](MethodCtx& txn) {
                         txn.Invoke("a", "add", {1});
@@ -136,8 +137,9 @@ TEST(ShardedRecovery, LostShardLogExcisesCrossShardTopFromEveryShard) {
     base.CreateObject("b", adt::MakeRegisterSpec(0));  // shard 1
     Executor exec(base, {.protocol = Protocol::kNto,
                          .record = false,
-                         .durability = Durability::kPerCommit,
-                         .wal_path = wal});
+                         .durability = Durability::kGroup,
+                         .wal_path = wal,
+                         .wal_group_window_us = 0});
     ASSERT_TRUE(exec.RunTransaction("T_A", [](MethodCtx& txn) {
                       txn.Invoke("a", "write", {1});
                       return Value();
@@ -188,8 +190,9 @@ TEST(ShardedRecovery, PartialAbortExcisesSubtreeFromAllShardLogs) {
     BuildTwoCounters(base);
     Executor exec(base, {.protocol = Protocol::kN2pl,
                          .record = false,
-                         .durability = Durability::kPerCommit,
-                         .wal_path = wal});
+                         .durability = Durability::kGroup,
+                         .wal_path = wal,
+                         .wal_group_window_us = 0});
     ASSERT_TRUE(exec.DefineMethod("a", "span_then_abort",
                                   [](MethodCtx& txn) {
                                     txn.Local("add", {100});

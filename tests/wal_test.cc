@@ -70,7 +70,6 @@ TEST(WalCodecTest, RecordRoundTrip) {
   {
     WalOptions opts;
     opts.path = path;
-    opts.durability = Durability::kGroup;
     opts.ring_capacity = 1 << 6;
     WalWriter w(opts);
     ASSERT_TRUE(w.ok());
@@ -126,10 +125,11 @@ void BuildBankBase(ObjectBase& base) {
   base.CreateObject("tags", adt::MakeSetSpec());
 }
 
-/// Runs a contended transfer mix under `protocol` with the WAL on, then
-/// recovers the log into a fresh identically-initialised base and asserts
-/// state equality object-by-object.
-void RunLogRecoverEquality(Protocol protocol, Durability durability,
+/// Runs a contended transfer mix under `protocol` with the WAL on (group
+/// commit with a `group_window_us` accumulation window; 0 syncs every
+/// commit immediately), then recovers the log into a fresh
+/// identically-initialised base and asserts state equality object-by-object.
+void RunLogRecoverEquality(Protocol protocol, uint32_t group_window_us,
                            const std::string& tag) {
   const std::string path = TmpPath(tag);
   ObjectBase base;
@@ -139,9 +139,9 @@ void RunLogRecoverEquality(Protocol protocol, Durability durability,
     ExecutorOptions opts;
     opts.protocol = protocol;
     opts.record = false;
-    opts.durability = durability;
+    opts.durability = Durability::kGroup;
     opts.wal_path = path;
-    opts.wal_group_window_us = 50;
+    opts.wal_group_window_us = group_window_us;
     Executor exec(base, opts);
     ASSERT_NE(exec.wal(), nullptr);
     ASSERT_TRUE(exec.wal()->ok());
@@ -213,24 +213,22 @@ void RunLogRecoverEquality(Protocol protocol, Durability durability,
 }
 
 TEST(WalRecoveryTest, GroupCommitN2pl) {
-  RunLogRecoverEquality(Protocol::kN2pl, Durability::kGroup, "eq_n2pl");
+  RunLogRecoverEquality(Protocol::kN2pl, 50, "eq_n2pl");
 }
 TEST(WalRecoveryTest, GroupCommitNto) {
-  RunLogRecoverEquality(Protocol::kNto, Durability::kGroup, "eq_nto");
+  RunLogRecoverEquality(Protocol::kNto, 50, "eq_nto");
 }
 TEST(WalRecoveryTest, GroupCommitCert) {
-  RunLogRecoverEquality(Protocol::kCert, Durability::kGroup, "eq_cert");
+  RunLogRecoverEquality(Protocol::kCert, 50, "eq_cert");
 }
 TEST(WalRecoveryTest, GroupCommitGemstone) {
-  RunLogRecoverEquality(Protocol::kGemstone, Durability::kGroup,
-                        "eq_gemstone");
+  RunLogRecoverEquality(Protocol::kGemstone, 50, "eq_gemstone");
 }
 TEST(WalRecoveryTest, GroupCommitMixed) {
-  RunLogRecoverEquality(Protocol::kMixed, Durability::kGroup, "eq_mixed");
+  RunLogRecoverEquality(Protocol::kMixed, 50, "eq_mixed");
 }
 TEST(WalRecoveryTest, PerCommitNto) {
-  RunLogRecoverEquality(Protocol::kNto, Durability::kPerCommit,
-                        "eq_nto_percommit");
+  RunLogRecoverEquality(Protocol::kNto, 0, "eq_nto_percommit");
 }
 
 // Redo records of tops without a durable commit marker are skipped.
@@ -256,7 +254,7 @@ TEST(WalRecoveryTest, DropsUncommittedTops) {
     w.StageRedo(0, WalWriter::kOrderByStagePos, 2, 2, chain2, add->id,
                 {Value(int64_t{7})}, Value::None());
   }
-  WalRecoveryResult r = RecoverWalInto(path, base);
+  WalRecoveryResult r = RecoverShardedWalInto(path, 1, base);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.applied, 1u);
   EXPECT_EQ(r.skipped_uncommitted, 1u);
@@ -303,7 +301,7 @@ TEST(WalRecoveryTest, AbortedSubtreeIsExcised) {
 
   ObjectBase fresh;
   fresh.CreateObject("tags", adt::MakeSetSpec());
-  WalRecoveryResult r = RecoverWalInto(path, fresh);
+  WalRecoveryResult r = RecoverShardedWalInto(path, 1, fresh);
   ASSERT_TRUE(r.ok);
   EXPECT_GE(r.skipped_aborted, 1u) << "the aborted insert(99) must be excised";
   EXPECT_EQ(r.ret_mismatches, 0u);
@@ -376,7 +374,6 @@ TEST(WalTornWriteTest, EveryTruncationAndCorruptionOffset) {
   {
     WalOptions opts;
     opts.path = path;
-    opts.durability = Durability::kGroup;
     opts.group_window_us = 0;
     WalWriter w(opts);
     ASSERT_TRUE(w.ok());
@@ -415,7 +412,7 @@ TEST(WalTornWriteTest, EveryTruncationAndCorruptionOffset) {
     }
     ObjectBase fresh;
     fresh.CreateObject("c", adt::MakeCounterSpec(0));
-    WalRecoveryResult r = RecoverWalInto(victim, fresh);
+    WalRecoveryResult r = RecoverShardedWalInto(victim, 1, fresh);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.ret_mismatches, 0u);
     EXPECT_EQ(r.committed_tops, intact_frames);
